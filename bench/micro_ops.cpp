@@ -93,17 +93,26 @@ void BM_DotProductFast(benchmark::State &State) {
 }
 BENCHMARK(BM_DotProductFast)->Arg(128)->Arg(512)->Arg(2048);
 
+// Args are {eps symbols, rows N = M, width D}. The 1000-symbol rows are
+// the Combined batch's last-layer shapes: Q . K^T (D = head width 6) and
+// Probs . V^T (D = sentence length) at 6 and 10 words.
 void BM_DotProductPrecise(benchmark::State &State) {
-  size_t Eps = State.range(0);
-  Zonotope Parent = makeZonotope(8, 12, 12, Eps, 4);
-  Zonotope A = Parent.selectColRange(0, 6);
-  Zonotope B = Parent.selectColRange(6, 12);
+  size_t Eps = State.range(0), Rows = State.range(1), D = State.range(2);
+  Zonotope Parent = makeZonotope(Rows, 2 * D, 12, Eps, 4);
+  Zonotope A = Parent.selectColRange(0, D);
+  Zonotope B = Parent.selectColRange(D, 2 * D);
   DotOptions Opts;
   Opts.Method = DotMethod::Precise;
   for (auto _ : State)
     benchmark::DoNotOptimize(dotRows(A, B, Opts).numEps());
 }
-BENCHMARK(BM_DotProductPrecise)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_DotProductPrecise)
+    ->Args({128, 8, 6})
+    ->Args({256, 8, 6})
+    ->Args({512, 8, 6})
+    ->Args({1000, 6, 6})
+    ->Args({1000, 10, 6})
+    ->Args({1000, 10, 10});
 
 // Coefficient-row parallelism in the dot-product transformer: Args are
 // {eps symbols, threads}. Exercises the Fast cascade end to end with

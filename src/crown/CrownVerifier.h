@@ -27,10 +27,6 @@ enum class CrownMode { Backward, BaF };
 
 struct CrownConfig {
   CrownMode Mode = CrownMode::BaF;
-  /// Retained for the K-level-backward experimental mode exposed by
-  /// crown::computeAllBounds; the BaF verifier itself uses the forward
-  /// linear-bound pass for intermediates.
-  int BaFLevelsBack = 1;
   /// Byte budget for backward coefficient matrices; 0 = unlimited.
   /// Models the paper's GPU memory exhaustion (Table 3).
   size_t MemoryBudgetBytes = 0;

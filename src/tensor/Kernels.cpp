@@ -3,12 +3,14 @@
 #include "tensor/Kernels.h"
 
 #include "support/Metrics.h"
+#include "tensor/PreciseEpsKernel.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <vector>
 
@@ -246,6 +248,75 @@ void scalarRowScale(const double *Lambda, double *Rows, size_t R,
   }
 }
 
+/// Eight scalar lanes as four two-double generic vectors (GCC/Clang
+/// vector extension, lowered to whatever the baseline target has): every
+/// operation is elementwise IEEE arithmetic, so the bits are those of a
+/// per-lane loop. Dot here is the serial mul-then-add loop, so the tail
+/// step is unfused and there is no lane-parallel prefix (no fma).
+struct ScalarLanes {
+  typedef double V2 __attribute__((vector_size(16)));
+  typedef long long B2 __attribute__((vector_size(16)));
+  static constexpr size_t W = detail::PL / 2;
+  struct V {
+    V2 P[W];
+  };
+  static constexpr size_t DotLanes = 1;
+  template <class F> static V map(F Fn) {
+    V R;
+#pragma GCC unroll 4
+    for (size_t I = 0; I < W; ++I)
+      R.P[I] = Fn(I);
+    return R;
+  }
+  static V zero() {
+    return map([](size_t) { return V2{}; });
+  }
+  static V load(const double *Ptr) {
+    V R;
+    std::memcpy(&R, Ptr, sizeof(R));
+    return R;
+  }
+  static V broadcast(double X) {
+    return map([X](size_t) { return V2{X, X}; });
+  }
+  static void store(double *Ptr, const V &A) {
+    std::memcpy(Ptr, &A, sizeof(A));
+  }
+  static V add(const V &A, const V &B) {
+    return map([&](size_t I) { return A.P[I] + B.P[I]; });
+  }
+  static V sub(const V &A, const V &B) {
+    return map([&](size_t I) { return A.P[I] - B.P[I]; });
+  }
+  static V abs(const V &A) {
+    const B2 Mag = ~reinterpret_cast<B2>(V2{-0.0, -0.0});
+    return map([&](size_t I) {
+      return reinterpret_cast<V2>(reinterpret_cast<B2>(A.P[I]) & Mag);
+    });
+  }
+  static V tail(const V &A, const V &B, const V &C) {
+    return map([&](size_t I) { return C.P[I] + A.P[I] * B.P[I]; });
+  }
+  static unsigned positiveLanes(const V &G) {
+    unsigned Bits = 0;
+    for (size_t P = 0; P < detail::PL; ++P)
+      Bits |= (G.P[P / 2][P % 2] > 0.0 ? 1u : 0u) << P;
+    return Bits;
+  }
+  static V blend(unsigned Bits, const V &A, const V &B) {
+    V R = B;
+    for (size_t P = 0; P < detail::PL; ++P)
+      if (Bits >> P & 1u)
+        R.P[P / 2][P % 2] = A.P[P / 2][P % 2];
+    return R;
+  }
+};
+
+void scalarPreciseEpsGroup(const PreciseRows &X, const PreciseRow &Y,
+                           size_t D, double *Lo, double *Hi) {
+  detail::preciseEpsGroup<ScalarLanes>(X, Y, D, Lo, Hi);
+}
+
 constexpr Kernels ScalarKernels = {
     Isa::Scalar,      /*Lanes=*/1,    scalarDotTransposedB,
     scalarDot,        scalarSum,      scalarAxpy,
@@ -254,6 +325,7 @@ constexpr Kernels ScalarKernels = {
     scalarAccAbsF32,  scalarAccSqF32, scalarAccMaxAbsF32,
     scalarRowSums,    scalarAxpy4K,   scalarCascadeDense,
     scalarDotPlanesTransposedB,       scalarRowScale,
+    scalarPreciseEpsGroup,
 };
 
 } // namespace

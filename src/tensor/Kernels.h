@@ -16,7 +16,7 @@
 /// inputs -- no thread-count or scheduling dependence -- so results stay
 /// bit-identical at any thread count *within* an ISA. Different ISAs may
 /// differ by ulps in the reduction kernels (Dot / Sum / DotTransposedB /
-/// DotPlanesTransposedB),
+/// DotPlanesTransposedB / PreciseEpsGroup),
 /// which accumulate in L lanes (scalar L=1, AVX2 L=4, AVX-512 L=8):
 /// element k feeds lane k % L via FMA, lanes reduce pairwise in the fixed
 /// order detail::dotLanes documents, and the tail (k >= N - N % L)
@@ -50,6 +50,33 @@ enum class Isa : int {
   Scalar = 0, ///< Portable C++; bit-preserves the pre-SIMD kernels.
   Avx2 = 1,   ///< AVX2 + FMA, 4 doubles per vector.
   Avx512 = 2, ///< AVX-512 F/DQ/VL, 8 doubles per vector.
+};
+
+/// Output pairs per PreciseEpsGroup call on every table: one AVX-512
+/// vector, two AVX2 vectors, eight scalar accumulators. Fixed across ISAs
+/// so the grouping of pairs does not depend on the dispatched table.
+constexpr size_t PreciseGroupLanes = 8;
+
+/// The A side of a PreciseEpsGroup call: Lanes consecutive rows of a
+/// coefficient matrix, one per lane. Lane p walks its own ascending
+/// symbol list LaneSym[p] (LaneNum[p] ids); its slice of symbol s starts
+/// at Base + s * Stride + p * D. Lanes past Lanes, and lanes whose list is
+/// exhausted, see all-zero slices.
+struct PreciseRows {
+  const double *Base = nullptr;
+  size_t Stride = 0;
+  size_t Lanes = 0;
+  const size_t *LaneSym[PreciseGroupLanes] = {};
+  size_t LaneNum[PreciseGroupLanes] = {};
+};
+
+/// The B side of a PreciseEpsGroup call: one row, shared by every lane,
+/// packed contiguously: the slice of list entry t (symbol id Sym[t],
+/// ascending) is Slices[t * D .. t * D + D).
+struct PreciseRow {
+  const double *Slices = nullptr;
+  const size_t *Sym = nullptr;
+  size_t NumSyms = 0;
 };
 
 /// The kernel vtable. All pointers are always non-null; an unsupported
@@ -155,6 +182,22 @@ struct Kernels {
   /// (one multiply per element), so bit-identical on every ISA.
   void (*RowScale)(const double *Lambda, double *Rows, size_t R,
                    size_t Stride, size_t N);
+
+  /// The Eq. 6 eps-eps bound (paper Section 4.8) of one lane group: up
+  /// to PreciseGroupLanes output pairs (row p of \p X, row \p Y) run side
+  /// by side, pair p in lane p. Starting from Lo = Hi = 0, each lane
+  /// walks its own x symbols s, and for each the y symbols t, in list
+  /// order:
+  ///   G = Dot(x_s, y_t, D)                in this table's lane order
+  ///   s == t: G > 0 ? Hi += G : Lo += G   (eps_s^2 in [0, 1])
+  ///   else:   Hi += |G|, Lo -= |G|        (eps_s eps_t in [-1, 1])
+  /// so each lane reproduces the per-pair kernels().Dot loop over the same
+  /// lists bit-for-bit -- provided the y slices are finite: lanes step in
+  /// lockstep, and a lane whose list ran out sees G = +0, which leaves
+  /// Hi (>= +0) and Lo (never -0) unchanged. Lo and Hi receive
+  /// PreciseGroupLanes doubles each.
+  void (*PreciseEpsGroup)(const PreciseRows &X, const PreciseRow &Y,
+                          size_t D, double *Lo, double *Hi);
 };
 
 /// Scratch doubles a DotPlanesTransposedB call needs for its packed

@@ -12,6 +12,8 @@
 
 #if DEEPT_HAVE_AVX2
 
+#include "tensor/PreciseEpsKernel.h"
+
 #include <algorithm>
 #include <cmath>
 #include <immintrin.h>
@@ -487,6 +489,59 @@ void avx2RowScale(const double *Lambda, double *Rows, size_t R,
   }
 }
 
+/// Eight lanes as two independent __m256d halves (two accumulation
+/// chains per group); Dot's lane order is the 4-lane one.
+struct Avx2Lanes {
+  struct V {
+    __m256d Lo, Hi;
+  };
+  static constexpr size_t DotLanes = L;
+  static V zero() { return {_mm256_setzero_pd(), _mm256_setzero_pd()}; }
+  static V load(const double *P) {
+    return {_mm256_loadu_pd(P), _mm256_loadu_pd(P + L)};
+  }
+  static V broadcast(double X) {
+    __m256d B = _mm256_set1_pd(X);
+    return {B, B};
+  }
+  static void store(double *P, V A) {
+    _mm256_storeu_pd(P, A.Lo);
+    _mm256_storeu_pd(P + L, A.Hi);
+  }
+  static V add(V A, V B) {
+    return {_mm256_add_pd(A.Lo, B.Lo), _mm256_add_pd(A.Hi, B.Hi)};
+  }
+  static V sub(V A, V B) {
+    return {_mm256_sub_pd(A.Lo, B.Lo), _mm256_sub_pd(A.Hi, B.Hi)};
+  }
+  static V abs(V A) { return {absPd(A.Lo), absPd(A.Hi)}; }
+  static V fma(V A, V B, V C) {
+    return {_mm256_fmadd_pd(A.Lo, B.Lo, C.Lo),
+            _mm256_fmadd_pd(A.Hi, B.Hi, C.Hi)};
+  }
+  static V tail(V A, V B, V C) { return fma(A, B, C); }
+  static unsigned positiveLanes(V G) {
+    __m256d Z = _mm256_setzero_pd();
+    return static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_cmp_pd(G.Lo, Z, _CMP_GT_OQ)) |
+        _mm256_movemask_pd(_mm256_cmp_pd(G.Hi, Z, _CMP_GT_OQ)) << 4);
+  }
+  static V blend(unsigned Bits, V A, V B) {
+    auto Mask = [](unsigned B4) {
+      __m256i Lane = _mm256_setr_epi64x(1, 2, 4, 8);
+      __m256i Set = _mm256_and_si256(_mm256_set1_epi64x(B4), Lane);
+      return _mm256_castsi256_pd(_mm256_cmpeq_epi64(Set, Lane));
+    };
+    return {_mm256_blendv_pd(B.Lo, A.Lo, Mask(Bits & 15u)),
+            _mm256_blendv_pd(B.Hi, A.Hi, Mask(Bits >> 4))};
+  }
+};
+
+void avx2PreciseEpsGroup(const PreciseRows &X, const PreciseRow &Y, size_t D,
+                         double *Lo, double *Hi) {
+  preciseEpsGroup<Avx2Lanes>(X, Y, D, Lo, Hi);
+}
+
 const Kernels Avx2Kernels = {
     Isa::Avx2,      /*Lanes=*/L,   avx2DotTransposedB,
     avx2Dot,        avx2Sum,       avx2Axpy,
@@ -495,6 +550,7 @@ const Kernels Avx2Kernels = {
     avx2AccAbsF32,  avx2AccSqF32,  avx2AccMaxAbsF32,
     avx2RowSums,    avx2Axpy4K,    avx2CascadeDense,
     avx2DotPlanesTransposedB,      avx2RowScale,
+    avx2PreciseEpsGroup,
 };
 
 } // namespace detail

@@ -12,6 +12,8 @@
 
 #if DEEPT_HAVE_AVX512
 
+#include "tensor/PreciseEpsKernel.h"
+
 #include <algorithm>
 #include <cmath>
 #include <immintrin.h>
@@ -487,6 +489,32 @@ void avx512RowScale(const double *Lambda, double *Rows, size_t R,
   }
 }
 
+/// Eight lanes in one __m512d; Dot's lane order is the 8-lane one.
+struct Avx512Lanes {
+  using V = __m512d;
+  static constexpr size_t DotLanes = L;
+  static V zero() { return _mm512_setzero_pd(); }
+  static V load(const double *P) { return _mm512_loadu_pd(P); }
+  static V broadcast(double X) { return _mm512_set1_pd(X); }
+  static void store(double *P, V A) { _mm512_storeu_pd(P, A); }
+  static V add(V A, V B) { return _mm512_add_pd(A, B); }
+  static V sub(V A, V B) { return _mm512_sub_pd(A, B); }
+  static V abs(V A) { return _mm512_abs_pd(A); }
+  static V fma(V A, V B, V C) { return _mm512_fmadd_pd(A, B, C); }
+  static V tail(V A, V B, V C) { return _mm512_fmadd_pd(A, B, C); }
+  static unsigned positiveLanes(V G) {
+    return _mm512_cmp_pd_mask(G, _mm512_setzero_pd(), _CMP_GT_OQ);
+  }
+  static V blend(unsigned Bits, V A, V B) {
+    return _mm512_mask_blend_pd(static_cast<__mmask8>(Bits), B, A);
+  }
+};
+
+void avx512PreciseEpsGroup(const PreciseRows &X, const PreciseRow &Y,
+                           size_t D, double *Lo, double *Hi) {
+  preciseEpsGroup<Avx512Lanes>(X, Y, D, Lo, Hi);
+}
+
 const Kernels Avx512Kernels = {
     Isa::Avx512,      /*Lanes=*/L,     avx512DotTransposedB,
     avx512Dot,        avx512Sum,       avx512Axpy,
@@ -495,6 +523,7 @@ const Kernels Avx512Kernels = {
     avx512AccAbsF32,  avx512AccSqF32,  avx512AccMaxAbsF32,
     avx512RowSums,    avx512Axpy4K,    avx512CascadeDense,
     avx512DotPlanesTransposedB,        avx512RowScale,
+    avx512PreciseEpsGroup,
 };
 
 } // namespace detail

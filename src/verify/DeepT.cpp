@@ -179,14 +179,17 @@ Zonotope DeepTVerifier::propagate(const Zonotope &InputEmb,
     for (size_t H = 0; H < A; ++H) {
       DEEPT_TRACE_SPAN("deept.attention.head");
       CurHead = static_cast<int>(H);
-      Zonotope Qh = Q.selectColRange(H * Dk, (H + 1) * Dk);
-      Zonotope Kh = K.selectColRange(H * Dk, (H + 1) * Dk);
       Zonotope Vh = V.selectColRange(H * Dk, (H + 1) * Dk);
       Zonotope Scores;
       {
         DEEPT_TRACE_SPAN("deept.attention.scores");
         ProvenanceGroup PG(L, "attention.scores");
-        Scores = dotRows(Qh, Kh, Dot).scale(Scale);
+        // The head's Q and K slices (and the dense eps copies the Precise
+        // dot caches on them) die here, before the softmax transient --
+        // the peak of a job's heap.
+        Scores = dotRows(Q.selectColRange(H * Dk, (H + 1) * Dk),
+                         K.selectColRange(H * Dk, (H + 1) * Dk), Dot)
+                     .scale(Scale);
       }
       Track(Scores, "verify.attention.scores");
       Zonotope Probs;

@@ -184,45 +184,79 @@ std::vector<std::vector<size_t>> activeSymbolsPerRow(const Matrix &Coeffs,
   return Active;
 }
 
-/// The Eq. 6 eps-eps interval bound: accumulates, for every output pair,
-///   sum_s (v_s . w_s) * [0, 1]  +  sum_{s != t} (v_s . w_t) * [-1, 1]
-/// into (Lo, Hi). Parallel over the rows of the N x M output; the
-/// per-pair double loop over active symbols keeps its serial order.
-void preciseEpsBound(const Matrix &EA, size_t N, const Matrix &EB, size_t M,
-                     size_t D, Matrix &Lo, Matrix &Hi) {
+bool allFinite(const Matrix &X) {
+  for (size_t I = 0; I < X.size(); ++I)
+    if (!std::isfinite(X.flat(I)))
+      return false;
+  return true;
+}
+
+} // namespace
+
+void deept::zono::detail::preciseEpsBound(const Matrix &EA, size_t N,
+                                          const Matrix &EB, size_t M,
+                                          size_t D, Matrix &Lo, Matrix &Hi) {
+  static support::Counter &FlopsEst =
+      support::Metrics::global().counter("zono.dot.flops_est");
+  constexpr size_t PL = tensor::PreciseGroupLanes;
   Lo = Matrix(N, M, 0.0);
   Hi = Matrix(N, M, 0.0);
   assert(EA.rows() == EB.rows() && "eps spaces must be aligned");
   auto ActiveA = activeSymbolsPerRow(EA, N, D);
   auto ActiveB = activeSymbolsPerRow(EB, M, D);
-  parallelFor(0, N, 1, [&](size_t I0, size_t I1) {
-    for (size_t I = I0; I < I1; ++I) {
-      for (size_t J = 0; J < M; ++J) {
-        double L = 0.0, H = 0.0;
-        for (size_t S : ActiveA[I]) {
-          const double *AS = EA.rowPtr(S) + I * D;
-          for (size_t T : ActiveB[J]) {
-            const double *BT = EB.rowPtr(T) + J * D;
-            double G = tensor::kernels().Dot(AS, BT, D);
-            if (S == T) {
-              // eps^2 in [0, 1].
-              if (G > 0.0)
-                H += G;
-              else
-                L += G;
-            } else {
-              // eps_s eps_t in [-1, 1].
-              H += std::fabs(G);
-              L -= std::fabs(G);
-            }
-          }
-        }
-        Lo.at(I, J) = L;
-        Hi.at(I, J) = H;
+  double SumA = 0.0, SumB = 0.0;
+  for (const auto &L : ActiveA)
+    SumA += static_cast<double>(L.size());
+  for (const auto &L : ActiveB)
+    SumB += static_cast<double>(L.size());
+  // One multiply-add per (s, t, k) of every pair's own active lists.
+  FlopsEst.add(2.0 * static_cast<double>(D) * SumA * SumB);
+  if (SumA == 0.0 || SumB == 0.0)
+    return;
+
+  // Lane groups: PL consecutive rows of A against one row J of B, whose
+  // packed slices every lane shares. Each lane walks its own row's
+  // active list in lockstep with the others; a lane whose list is
+  // exhausted sees a zero slice, G = +0, and +0 leaves Hi (>= +0) and Lo
+  // (never -0) unchanged, so every lane keeps its own pair's bits. That
+  // needs finite coefficients (0 * inf is NaN): otherwise every pair runs
+  // alone.
+  size_t Width = allFinite(EA) && allFinite(EB) ? PL : 1;
+  size_t Blocks = (N + Width - 1) / Width;
+  parallelFor(0, Blocks * M, 1, [&](size_t G0, size_t G1) {
+    const tensor::Kernels &K = tensor::kernels();
+    // Worker-local high-water scratch for B row J's packed slices (at
+    // most E * D doubles), streamed once per x step: contiguous, it reads
+    // whole cache lines instead of one strided coefficient row per symbol.
+    static thread_local std::vector<double> YSlices;
+    double GLo[PL], GHi[PL];
+    for (size_t G = G0; G < G1; ++G) {
+      size_t I0 = G / M * Width, J = G % M;
+      tensor::PreciseRows X;
+      X.Base = EA.data() + I0 * D;
+      X.Stride = EA.cols();
+      X.Lanes = std::min(Width, N - I0);
+      for (size_t P = 0; P < X.Lanes; ++P) {
+        X.LaneSym[P] = ActiveA[I0 + P].data();
+        X.LaneNum[P] = ActiveA[I0 + P].size();
+      }
+      tensor::PreciseRow Y;
+      Y.Sym = ActiveB[J].data();
+      Y.NumSyms = ActiveB[J].size();
+      YSlices.resize(Y.NumSyms * D);
+      for (size_t T = 0; T < Y.NumSyms; ++T)
+        std::copy_n(EB.rowPtr(Y.Sym[T]) + J * D, D, YSlices.data() + T * D);
+      Y.Slices = YSlices.data();
+      K.PreciseEpsGroup(X, Y, D, GLo, GHi);
+      for (size_t P = 0; P < X.Lanes; ++P) {
+        Lo.at(I0 + P, J) = GLo[P];
+        Hi.at(I0 + P, J) = GHi[P];
       }
     }
   });
 }
+
+namespace {
 
 /// Accumulates the four quadratic interaction blocks of dotRows into
 /// (QLo, QHi) according to \p Opts. The Fast cascades consume the eps
@@ -287,7 +321,7 @@ void quadraticBounds(const Zonotope &A, const Zonotope &B, size_t N,
   if (HaveEps) {
     if (Opts.Method == DotMethod::Precise) {
       Matrix Lo, Hi;
-      preciseEpsBound(A.epsCoeffs(), N, B.epsCoeffs(), M, D, Lo, Hi);
+      detail::preciseEpsBound(A.epsCoeffs(), N, B.epsCoeffs(), M, D, Lo, Hi);
       QLo += Lo;
       QHi += Hi;
     } else if (InfFirst) {

@@ -61,6 +61,21 @@ Zonotope dotRows(const Zonotope &A, const Zonotope &B,
 Zonotope mulElementwise(const Zonotope &A, const Zonotope &B,
                         const DotOptions &Opts = DotOptions());
 
+namespace detail {
+
+/// The Eq. 6 eps-eps interval bound of the Precise method: for every
+/// pair (i, j) of rows of the N x D and M x D views whose aligned eps
+/// coefficients are \p EA and \p EB, accumulates
+///   sum_s (v_s . w_s) * [0, 1]  +  sum_{s != t} (v_s . w_t) * [-1, 1]
+/// over the symbols active on row i (s) and row j (t), in ascending s,
+/// then ascending t, into the N x M matrices (Lo, Hi). Runs the pairs in
+/// tensor::Kernels::PreciseEpsGroup lane groups; the bits equal the
+/// per-pair kernels().Dot loop and do not depend on the thread count.
+void preciseEpsBound(const Matrix &EA, size_t N, const Matrix &EB, size_t M,
+                     size_t D, Matrix &Lo, Matrix &Hi);
+
+} // namespace detail
+
 } // namespace zono
 } // namespace deept
 

@@ -21,6 +21,23 @@ constexpr double ExpClampExponent = 100.0;
 
 double clampedExp(double X) { return std::exp(std::min(X, ExpClampExponent)); }
 
+/// Sound cover for bounds the precise constructions cannot handle (NaN
+/// or unbounded ranges, or a convex piece that inverted): certification
+/// over such a range must fail, so a huge symmetric interval is returned
+/// instead of letting NaN leak into the coefficient matrices. Each use
+/// bumps zono.elementwise.unbounded_fallbacks, so a run shows how often
+/// it lost an element this way.
+LinearPiece unboundedPiece() {
+  static support::Counter &Fallbacks = support::Metrics::global().counter(
+      "zono.elementwise.unbounded_fallbacks");
+  Fallbacks.add(1);
+  LinearPiece P;
+  P.Lambda = 0.0;
+  P.Mu = 0.0;
+  P.BetaNew = 1e100;
+  return P;
+}
+
 /// Builds the zonotope piece for a convex function from a tangent point T:
 /// the lower support line is the tangent at T, the upper support line is
 /// the tightest line of the same slope anchored at the worse endpoint.
@@ -35,15 +52,13 @@ LinearPiece convexPiece(double Lambda, double FT, double T, double FL,
   P.BetaNew = 0.5 * (UpperOffset - LowerOffset);
   // In the exp-saturated regime (see ExpClampExponent) the clamped
   // function is no longer convex and the construction can invert or
-  // overflow; fall back to a huge interval -- certification at such
-  // ranges fails regardless.
+  // overflow. Narrow ranges with a large Lambda * T invert too: BetaNew
+  // is then a difference of two offsets of size ~Lambda * T that rounds
+  // negative (EXPERIMENTS.md, "Known deviations"). Either way, fall back
+  // to the unbounded cover.
   if (!(P.BetaNew >= -1e-12) || !std::isfinite(P.BetaNew) ||
-      !std::isfinite(P.Mu) || !std::isfinite(P.Lambda)) {
-    P.Lambda = 0.0;
-    P.Mu = 0.0;
-    P.BetaNew = 1e100;
-    return P;
-  }
+      !std::isfinite(P.Mu) || !std::isfinite(P.Lambda))
+    return unboundedPiece();
   P.BetaNew = std::max(P.BetaNew, 0.0);
   return P;
 }
@@ -54,18 +69,6 @@ LinearPiece intervalPiece(double FLo, double FHi) {
   P.Lambda = 0.0;
   P.Mu = 0.5 * (FHi + FLo);
   P.BetaNew = 0.5 * (FHi - FLo);
-  return P;
-}
-
-/// Sound cover for bounds the precise constructions cannot handle (NaN
-/// or unbounded ranges): certification over such a range must fail, so a
-/// huge symmetric interval is returned instead of letting NaN leak into
-/// the coefficient matrices.
-LinearPiece unboundedPiece() {
-  LinearPiece P;
-  P.Lambda = 0.0;
-  P.Mu = 0.0;
-  P.BetaNew = 1e100;
   return P;
 }
 

@@ -28,9 +28,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace deept;
@@ -558,6 +561,206 @@ TEST(KernelEquivalence, DotRowsFlopsEstIsBlockAware) {
   EXPECT_GT(BlockFlops, 0.0);
   EXPECT_LT(BlockFlops, DenseFlops)
       << "block-aware estimate should be cheaper than the densified run";
+}
+
+/// The Eq. 6 eps-eps bound as the Precise method computed it before the
+/// lane-group kernel: per output pair, one kernels().Dot call per
+/// (active s, active t), folded serially. The oracle for
+/// zono::detail::preciseEpsBound.
+void perPairPreciseEpsBound(const Matrix &EA, size_t N, const Matrix &EB,
+                            size_t M, size_t D, Matrix &Lo, Matrix &Hi) {
+  auto Active = [D](const Matrix &C, size_t Rows) {
+    std::vector<std::vector<size_t>> Out(Rows);
+    for (size_t R = 0; R < Rows; ++R)
+      for (size_t S = 0; S < C.rows(); ++S)
+        for (size_t K = 0; K < D; ++K)
+          if (C.rowPtr(S)[R * D + K] != 0.0) {
+            Out[R].push_back(S);
+            break;
+          }
+    return Out;
+  };
+  auto ActiveA = Active(EA, N), ActiveB = Active(EB, M);
+  Lo = Matrix(N, M, 0.0);
+  Hi = Matrix(N, M, 0.0);
+  for (size_t I = 0; I < N; ++I) {
+    for (size_t J = 0; J < M; ++J) {
+      double L = 0.0, H = 0.0;
+      for (size_t S : ActiveA[I]) {
+        for (size_t T : ActiveB[J]) {
+          double G = tensor::kernels().Dot(EA.rowPtr(S) + I * D,
+                                           EB.rowPtr(T) + J * D, D);
+          if (S == T) {
+            if (G > 0.0)
+              H += G;
+            else
+              L += G;
+          } else {
+            H += std::fabs(G);
+            L -= std::fabs(G);
+          }
+        }
+      }
+      Lo.at(I, J) = L;
+      Hi.at(I, J) = H;
+    }
+  }
+}
+
+/// Aligned eps coefficient planes for a Precise dot of an N x D and an
+/// M x D view, shaped like the attention operands: Dense symbols active
+/// on every row (with scattered zero entries), then fresh Diag-style
+/// symbols each active on a single row of A only or of B only, all-zero
+/// symbols in between, and one symbol per shared row whose B slice is the
+/// negated A slice, so s == t meets a negative G. \p ZeroRowA zeroes one
+/// row of A across every symbol (N when none).
+void makePreciseOperands(size_t N, size_t M, size_t D, size_t Dense,
+                         size_t FreshA, size_t FreshB, size_t ZeroRowA,
+                         support::Rng &Rng, Matrix &EA, Matrix &EB) {
+  size_t Shared = std::min(N, M);
+  size_t E = Dense + FreshA * N + FreshB * M + Shared + 3;
+  EA = Matrix(E, N * D, 0.0);
+  EB = Matrix(E, M * D, 0.0);
+  auto Fill = [&](double *Slice) {
+    std::vector<double> V = randomVec(D, Rng, 0.2);
+    std::copy(V.begin(), V.end(), Slice);
+  };
+  size_t S = 0;
+  for (; S < Dense; ++S) {
+    for (size_t R = 0; R < N; ++R)
+      Fill(EA.rowPtr(S) + R * D);
+    for (size_t R = 0; R < M; ++R)
+      Fill(EB.rowPtr(S) + R * D);
+  }
+  ++S; // an all-zero symbol
+  for (size_t R = 0; R < N; ++R)
+    for (size_t F = 0; F < FreshA; ++F)
+      EA.rowPtr(S++)[R * D + Rng.uniformInt(D)] = Rng.gaussian();
+  ++S;
+  for (size_t R = 0; R < M; ++R)
+    for (size_t F = 0; F < FreshB; ++F)
+      EB.rowPtr(S++)[R * D + Rng.uniformInt(D)] = Rng.gaussian();
+  for (size_t R = 0; R < Shared; ++R, ++S) {
+    Fill(EA.rowPtr(S) + R * D);
+    for (size_t K = 0; K < D; ++K)
+      EB.rowPtr(S)[R * D + K] = -EA.rowPtr(S)[R * D + K];
+  }
+  if (ZeroRowA < N)
+    for (size_t Sy = 0; Sy < E; ++Sy)
+      std::fill_n(EA.rowPtr(Sy) + ZeroRowA * D, D, 0.0);
+}
+
+/// The lane-group Eq. 6 kernel must reproduce the per-pair Dot loop
+/// 0-ULP on every ISA at 1, 2 and 8 threads: D covering the pure tail and
+/// lanes plus tail of each table's Dot order, pair counts that are not a
+/// multiple of the group width, fresh symbols active on one row only,
+/// an all-zero row, and s == t with negative G. Fresh symbols on the A
+/// side give the lanes active lists of different lengths (lanes run out
+/// early); on the B side they shift where each lane meets its diagonal.
+TEST(KernelEquivalence, PreciseEpsBoundMatchesPerPairDotLoop) {
+  struct Shape {
+    size_t N, M;
+  };
+  // N * M in {1, 7, 9, 36, 100}.
+  const Shape Shapes[] = {{1, 1}, {7, 1}, {1, 9}, {9, 4}, {10, 10}};
+  for (Isa I : availableIsas()) {
+    ScopedIsa Sc(I);
+    size_t L = tensor::kernels().Lanes;
+    // L - 1 is 0 on the scalar table (L = 1); D = 0 has no slices.
+    std::vector<size_t> Ds = {1, 3, std::max<size_t>(L - 1, 1), L, L + 1,
+                              2 * L + 3};
+    std::sort(Ds.begin(), Ds.end());
+    Ds.erase(std::unique(Ds.begin(), Ds.end()), Ds.end());
+    support::Rng Rng(0xE06 + static_cast<int>(I));
+    for (const Shape &Sh : Shapes) {
+      for (size_t D : Ds) {
+        for (bool FreshOnA : {true, false}) {
+          Matrix EA, EB;
+          makePreciseOperands(Sh.N, Sh.M, D, 12, FreshOnA ? 4 : 1,
+                              FreshOnA ? 1 : 4, Sh.N > 2 ? 1 : Sh.N, Rng, EA,
+                              EB);
+          Matrix WantLo, WantHi;
+          perPairPreciseEpsBound(EA, Sh.N, EB, Sh.M, D, WantLo, WantHi);
+          for (size_t Threads : {1u, 2u, 8u}) {
+            ScopedThreads T(Threads);
+            Matrix Lo, Hi;
+            zono::detail::preciseEpsBound(EA, Sh.N, EB, Sh.M, D, Lo, Hi);
+            auto Where = [&] {
+              return ::testing::Message()
+                     << "isa=" << tensor::isaName(I) << " N=" << Sh.N
+                     << " M=" << Sh.M << " D=" << D
+                     << " freshOnA=" << FreshOnA << " threads=" << Threads;
+            };
+            ASSERT_EQ(Lo.size(), WantLo.size()) << Where();
+            EXPECT_EQ(std::memcmp(Lo.data(), WantLo.data(),
+                                  Lo.size() * sizeof(double)),
+                      0)
+                << "Lo " << Where();
+            EXPECT_EQ(std::memcmp(Hi.data(), WantHi.data(),
+                                  Hi.size() * sizeof(double)),
+                      0)
+                << "Hi " << Where();
+          }
+        }
+      }
+    }
+  }
+}
+
+/// With a non-finite coefficient a zero slice no longer contributes +0
+/// (0 * inf is NaN), so every pair must run on its own active lists: the
+/// result must still match the per-pair loop, NaN for NaN.
+TEST(KernelEquivalence, PreciseEpsBoundNonFiniteRunsPerPair) {
+  support::Rng Rng(0x1DF);
+  for (Isa I : availableIsas()) {
+    ScopedIsa Sc(I);
+    Matrix EA, EB;
+    makePreciseOperands(9, 3, 6, 5, 2, 2, 9, Rng, EA, EB);
+    // Active on B row 0 only; A rows whose slice of this symbol is zero
+    // must not see it.
+    EB.rowPtr(0)[1] = std::numeric_limits<double>::infinity();
+    std::fill_n(EA.rowPtr(0) + 2 * 6, 6, 0.0);
+    Matrix WantLo, WantHi, Lo, Hi;
+    perPairPreciseEpsBound(EA, 9, EB, 3, 6, WantLo, WantHi);
+    zono::detail::preciseEpsBound(EA, 9, EB, 3, 6, Lo, Hi);
+    for (size_t V = 0; V < Lo.size(); ++V) {
+      for (auto [Got, Want] : {std::pair(Lo.flat(V), WantLo.flat(V)),
+                               std::pair(Hi.flat(V), WantHi.flat(V))}) {
+        if (std::isnan(Want))
+          EXPECT_TRUE(std::isnan(Got)) << "var " << V;
+        else
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(Got),
+                    std::bit_cast<std::uint64_t>(Want))
+              << "var " << V << " isa=" << tensor::isaName(I);
+      }
+    }
+  }
+}
+
+/// Precise calls add the Eq. 6 work -- 2 D multiply-adds per (active s,
+/// active t) of every pair -- to zono.dot.flops_est.
+TEST(KernelEquivalence, PreciseEpsBoundCountsWork) {
+  support::Rng Rng(0xF10);
+  Matrix EA, EB;
+  makePreciseOperands(3, 2, 4, 6, 1, 1, 3, Rng, EA, EB);
+  auto ActiveCount = [](const Matrix &C, size_t Rows, size_t D) {
+    double Count = 0.0;
+    for (size_t R = 0; R < Rows; ++R)
+      for (size_t S = 0; S < C.rows(); ++S)
+        for (size_t K = 0; K < D; ++K)
+          if (C.rowPtr(S)[R * D + K] != 0.0) {
+            Count += 1.0;
+            break;
+          }
+    return Count;
+  };
+  support::Counter &Flops =
+      support::Metrics::global().counter("zono.dot.flops_est");
+  double Start = Flops.value();
+  Matrix Lo, Hi;
+  zono::detail::preciseEpsBound(EA, 3, EB, 2, 4, Lo, Hi);
+  EXPECT_EQ(Flops.value() - Start,
+            2.0 * 4 * ActiveCount(EA, 3, 4) * ActiveCount(EB, 2, 4));
 }
 
 /// A small zonotope with both phi and eps symbols pushed through linear +

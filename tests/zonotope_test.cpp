@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/Metrics.h"
 #include "zono/DotProduct.h"
 #include "zono/Elementwise.h"
 #include "zono/Reduction.h"
@@ -311,6 +312,31 @@ TEST(Elementwise, PiecesEnvelopeFunctionOnGrid) {
       EXPECT_GE(Hi, Y - 1e-9);
     }
   }
+}
+
+/// Every 1e100 cover -- unbounded or NaN ranges, and convex pieces that
+/// invert -- bumps zono.elementwise.unbounded_fallbacks exactly once;
+/// ordinary pieces leave it alone. The exp sweep covers narrow ranges at
+/// large inputs, where the upper and lower offsets (~lambda * t) cancel
+/// and the piece can invert.
+TEST(Elementwise, UnboundedFallbacksAreCounted) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  support::Counter &Fallbacks = support::Metrics::global().counter(
+      "zono.elementwise.unbounded_fallbacks");
+  double Start = Fallbacks.value();
+  std::vector<LinearPiece> Pieces = {reluPiece(-Inf, 1.0), expPiece(NaN, 1.0),
+                                     recipPiece(1.0, NaN), sqrtPiece(0.0, Inf)};
+  for (double T = 20.0; T < 40.0; T += 0.37)
+    for (double W = 1e-8; W < 1e-2; W *= 3.1)
+      Pieces.push_back(expPiece(T, T + W));
+  Pieces.push_back(expPiece(0.0, 1.0));
+  Pieces.push_back(recipPiece(1.0, 2.0));
+  double Covers = 0.0;
+  for (const LinearPiece &P : Pieces)
+    Covers += P.BetaNew == 1e100 ? 1.0 : 0.0;
+  EXPECT_GE(Covers, 4.0);
+  EXPECT_EQ(Fallbacks.value() - Start, Covers);
 }
 
 TEST(Elementwise, NonFiniteBoundsFallBackSoundly) {

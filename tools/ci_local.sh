@@ -198,12 +198,15 @@ stage_simd() {
   configure "$ROOT/build-ci/asan" -DDEEPT_SANITIZE=address
   cmake --build "$ROOT/build-ci/asan" -j "$JOBS" --target deept_tests
   "$ROOT/build-ci/asan/tests/deept_tests" --gtest_filter='F32Soundness.*'
-  # The whole-plane fused coefficient oracle under ASan, dispatched from
-  # the scalar and from the widest table the host supports: the packed
-  # shared-panel scratch, the hoisted zero flags and the paired-row loops
-  # must be memory-clean and 0-ULP equal to the per-plane composition.
+  # The whole-plane fused coefficient oracle and the Eq. 6 lane-group
+  # oracle under ASan, dispatched from the scalar and from the widest
+  # table the host supports: the packed shared-panel scratch, the hoisted
+  # zero flags, the paired-row loops, the per-step lane transposes and the
+  # packed B-row scratch must be memory-clean and 0-ULP equal to the
+  # per-plane composition and to the per-pair Dot loop.
   local FusedFilter='KernelEquivalence.DotPlanesFused*'
   FusedFilter+=':KernelEquivalence.DotRows*:KernelEquivalence.RowScale*'
+  FusedFilter+=':KernelEquivalence.PreciseEpsBound*'
   DEEPT_ISA=scalar "$ROOT/build-ci/asan/tests/deept_tests" \
       --gtest_filter="$FusedFilter"
   DEEPT_ISA=native "$ROOT/build-ci/asan/tests/deept_tests" \

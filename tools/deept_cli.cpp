@@ -149,12 +149,24 @@ data::CorpusConfig corpusConfig(const std::string &Kind, size_t EmbedDim) {
   return data::CorpusConfig::sstLike(EmbedDim);
 }
 
-double parseNorm(const std::string &Name) {
+/// Strict parse of --norm (default l2): only l1, l2 and linf are
+/// accepted. Anything else fails with exit code 2 instead of running l2
+/// under the unknown name's label. Returns 0 and fills \p P on success.
+int parseNormOrFail(const ArgParse &Args, double &P) {
+  std::string Name = Args.get("norm", "l2");
   if (Name == "l1")
-    return 1.0;
-  if (Name == "linf")
-    return tensor::Matrix::InfNorm;
-  return 2.0;
+    P = 1.0;
+  else if (Name == "l2")
+    P = 2.0;
+  else if (Name == "linf")
+    P = tensor::Matrix::InfNorm;
+  else {
+    std::fprintf(stderr,
+                 "error: --norm expects 'l1', 'l2' or 'linf', got '%s'\n",
+                 Name.c_str());
+    return 2;
+  }
+  return 0;
 }
 
 int cmdTrain(const ArgParse &Args) {
@@ -221,12 +233,14 @@ int loadModelOrFail(const ArgParse &Args, nn::TransformerModel &Model) {
 }
 
 int cmdCertify(const ArgParse &Args) {
+  double P = 2.0;
+  if (int Rc = parseNormOrFail(Args, P))
+    return Rc;
   nn::TransformerModel Model;
   if (int Rc = loadModelOrFail(Args, Model))
     return Rc;
   data::SyntheticCorpus Corpus(
       corpusConfig(Args.get("corpus", "sst"), Model.Config.EmbedDim));
-  double P = parseNorm(Args.get("norm", "l2"));
   size_t Word = Args.getInt("word", 0);
   size_t Count = Args.getInt("sentences", 3);
   std::string Verifier = Args.get("verifier", "fast");
@@ -405,12 +419,14 @@ int cmdSynonym(const ArgParse &Args) {
 }
 
 int cmdAttack(const ArgParse &Args) {
+  double P = 2.0;
+  if (int Rc = parseNormOrFail(Args, P))
+    return Rc;
   nn::TransformerModel Model;
   if (int Rc = loadModelOrFail(Args, Model))
     return Rc;
   data::SyntheticCorpus Corpus(
       corpusConfig(Args.get("corpus", "sst"), Model.Config.EmbedDim));
-  double P = parseNorm(Args.get("norm", "l2"));
   size_t Word = Args.getInt("word", 0);
   support::Rng Rng(Args.getInt("seed", 4));
   data::Sentence S;
