@@ -98,11 +98,18 @@ void preciseEpsGroupImpl(const PreciseRows &X, const PreciseRow &Y,
     Steps = std::max(Steps, X.LaneNum[P]);
   V H = VT::zero(), Lw = VT::zero();
   // Each step transposes the lanes' current x slices into a [k][lane]
-  // buffer; with D known the buffer, and the vectors loaded from it for
-  // the whole inner loop, stay on the stack and in registers.
+  // buffer. With D known the buffer, and the vectors loaded from it for
+  // the whole inner loop, stay on the stack and in registers; otherwise
+  // it is worker-local high-water scratch of D * PL doubles, so a call
+  // allocates nothing in steady state.
   double FixedBuf[(DC ? DC : 1) * PL] = {};
-  std::vector<double> RunBuf(DC ? 0 : D * PL);
-  double *XBuf = DC ? FixedBuf : RunBuf.data();
+  double *XBuf = FixedBuf;
+  if constexpr (DC == 0) {
+    static thread_local std::vector<double> RunBuf;
+    if (RunBuf.size() < D * PL)
+      RunBuf.resize(D * PL);
+    XBuf = RunBuf.data();
+  }
   size_t TP[PL] = {}; // per lane: first y position with id >= its x id
   for (size_t I = 0; I < Steps; ++I) {
     // Lanes whose diagonal t == s falls on y position DiagT[d].
@@ -193,9 +200,11 @@ void preciseEpsGroupImpl(const PreciseRows &X, const PreciseRow &Y,
   VT::store(Hi, H);
 }
 
-/// Picks the instantiation: a compile-time D for the short slices the
-/// transformer shapes produce (head width, sentence length), the runtime
-/// loop otherwise.
+/// Picks the instantiation: a compile-time D for the slice widths the
+/// Combined batch benchmark's attention produces (head width 6, sentence
+/// lengths 4..10), the runtime loop otherwise. Per call the compile-time
+/// D measured 1.5-6x faster than the runtime loop on every table
+/// (DESIGN.md).
 template <class VT>
 void preciseEpsGroup(const PreciseRows &X, const PreciseRow &Y, size_t D,
                      double *Lo, double *Hi) {
@@ -203,9 +212,6 @@ void preciseEpsGroup(const PreciseRows &X, const PreciseRow &Y, size_t D,
   case N:                                                                      \
     return preciseEpsGroupImpl<VT, N>(X, Y, D, Lo, Hi);
   switch (D) {
-    DEEPT_PRECISE_D(1)
-    DEEPT_PRECISE_D(2)
-    DEEPT_PRECISE_D(3)
     DEEPT_PRECISE_D(4)
     DEEPT_PRECISE_D(5)
     DEEPT_PRECISE_D(6)
@@ -213,8 +219,6 @@ void preciseEpsGroup(const PreciseRows &X, const PreciseRow &Y, size_t D,
     DEEPT_PRECISE_D(8)
     DEEPT_PRECISE_D(9)
     DEEPT_PRECISE_D(10)
-    DEEPT_PRECISE_D(11)
-    DEEPT_PRECISE_D(12)
   default:
     break;
   }

@@ -78,18 +78,6 @@ std::string normToken(double P) {
   return S.str();
 }
 
-bool parseNormToken(const std::string &Name, double &Out) {
-  if (Name == "l1")
-    Out = 1.0;
-  else if (Name == "l2")
-    Out = 2.0;
-  else if (Name == "linf")
-    Out = Matrix::InfNorm;
-  else
-    return false;
-  return true;
-}
-
 /// Job keys become file names for recorder artifacts; anything outside
 /// the derived-key alphabet (explicit Ids are free-form) maps to '_'.
 std::string fileSafe(const std::string &Key) {
@@ -130,6 +118,18 @@ bool deept::verify::parseJobMethod(const std::string &Name, JobMethod &Out) {
       return true;
     }
   return false;
+}
+
+bool deept::verify::parseNormToken(const std::string &Name, double &Out) {
+  if (Name == "l1")
+    Out = 1.0;
+  else if (Name == "l2")
+    Out = 2.0;
+  else if (Name == "linf")
+    Out = Matrix::InfNorm;
+  else
+    return false;
+  return true;
 }
 
 const char *deept::verify::jobStatusName(JobStatus S) {

@@ -62,6 +62,10 @@ const char *jobMethodName(JobMethod M);
 /// Parses "fast" / "precise" / "combined" / "crown-baf" /
 /// "crown-backward" (the CLI --verifier vocabulary).
 bool parseJobMethod(const std::string &Name, JobMethod &Out);
+/// Parses "l1" / "l2" / "linf" into the lp exponent (linf is
+/// Matrix::InfNorm); anything else is rejected (the job-spec "norm" and
+/// the CLI --norm vocabulary).
+bool parseNormToken(const std::string &Name, double &Out);
 
 /// One certification query: the lp region of radius Epsilon around word
 /// position Word of a token sequence, certified with Method.

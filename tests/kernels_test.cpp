@@ -666,9 +666,11 @@ TEST(KernelEquivalence, PreciseEpsBoundMatchesPerPairDotLoop) {
   for (Isa I : availableIsas()) {
     ScopedIsa Sc(I);
     size_t L = tensor::kernels().Lanes;
-    // L - 1 is 0 on the scalar table (L = 1); D = 0 has no slices.
+    // L - 1 is 0 on the scalar table (L = 1); D = 0 has no slices. D = 3,
+    // 4, 10 and 11 sit on both edges of the compile-time-D range 4..10;
+    // 13 and 19 run the runtime-D loop on every table.
     std::vector<size_t> Ds = {1, 3, std::max<size_t>(L - 1, 1), L, L + 1,
-                              2 * L + 3};
+                              2 * L + 3, 4, 10, 11, 13, 19};
     std::sort(Ds.begin(), Ds.end());
     Ds.erase(std::unique(Ds.begin(), Ds.end()), Ds.end());
     support::Rng Rng(0xE06 + static_cast<int>(I));

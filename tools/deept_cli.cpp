@@ -154,19 +154,12 @@ data::CorpusConfig corpusConfig(const std::string &Kind, size_t EmbedDim) {
 /// under the unknown name's label. Returns 0 and fills \p P on success.
 int parseNormOrFail(const ArgParse &Args, double &P) {
   std::string Name = Args.get("norm", "l2");
-  if (Name == "l1")
-    P = 1.0;
-  else if (Name == "l2")
-    P = 2.0;
-  else if (Name == "linf")
-    P = tensor::Matrix::InfNorm;
-  else {
-    std::fprintf(stderr,
-                 "error: --norm expects 'l1', 'l2' or 'linf', got '%s'\n",
-                 Name.c_str());
-    return 2;
-  }
-  return 0;
+  if (verify::parseNormToken(Name, P))
+    return 0;
+  std::fprintf(stderr,
+               "error: --norm expects 'l1', 'l2' or 'linf', got '%s'\n",
+               Name.c_str());
+  return 2;
 }
 
 int cmdTrain(const ArgParse &Args) {
