@@ -30,10 +30,9 @@
 /// the network (that is the producer's propagation, which the checker by
 /// design does not re-run).
 ///
-/// f32 certificates: the producer's single-precision norms are soundly
-/// lifted upward, so the replay drops the upper-side norm check (na <=
-/// up(||alpha||_q)) for precision "f32" and keeps every lower-side and
-/// chain check.
+/// The recorded dual norms are pinned from both sides: each must lie in
+/// the directed-rounding enclosure of the replayed accumulation. The
+/// payload's "precision" must be "f64" (anything else is StoreCorrupt).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,16 +6,17 @@
 ///
 /// \file
 /// The body of Kernels::PreciseEpsGroup, written once against a small
-/// vector-traits interface and instantiated by each kernel table's
-/// translation unit with its own vector type: eight scalar accumulators,
-/// two AVX2 vectors or one AVX-512 vector, so one vector always holds the
+/// vector-traits interface and instantiated by each kernel table with its
+/// own vector type: eight scalar accumulators (tensor/Kernels.cpp), two
+/// AVX2 vectors or one AVX-512 vector (detail::GroupLanes in
+/// tensor/SimdKernels.h), so one vector always holds the
 /// PreciseGroupLanes output pairs of a lane group.
 ///
 /// The traits type VT provides
 ///   V                          the 8-lane value type
 ///   DotLanes                   the table's Dot lane count L (1, 4 or 8)
-///   zero() load(p) broadcast(x) store(p, v) add sub abs
-///   fma(a, b, c)               fused a * b + c (only when DotLanes > 1)
+///   zero() load(p) set1(x) store(p, v) add sub abs
+///   fmadd(a, b, c)             fused a * b + c (only when DotLanes > 1)
 ///   tail(a, b, c)              the serial tail step of Dot: fused for the
 ///                              SIMD tables, c + a * b for the scalar one
 ///   positiveLanes(g)           bit p set when lane p of g is > 0
@@ -69,7 +70,7 @@ DEEPT_LANE_INLINE inline typename VT::V dotReplay(XAt X, YAt Y, size_t DRun) {
         Acc[I] = VT::zero();
 #pragma GCC unroll 16
       for (size_t K = 0; K < NV; ++K)
-        Acc[K % L] = VT::fma(X(K), Y(K), Acc[K % L]);
+        Acc[K % L] = VT::fmadd(X(K), Y(K), Acc[K % L]);
       // The halving steps spelled out, so the accumulators stay in
       // registers.
       if constexpr (L == 8) {
@@ -160,7 +161,7 @@ void preciseEpsGroupImpl(const PreciseRows &X, const PreciseRow &Y,
       const double *YSrc = Y.Slices + T * D;
       return dotReplay<VT, DC>(
           XAt, [&](size_t K) DEEPT_LANE_INLINE {
-            return VT::broadcast(YSrc[K]);
+            return VT::set1(YSrc[K]);
           },
           D);
     };

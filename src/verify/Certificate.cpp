@@ -3,7 +3,6 @@
 #include "verify/Certificate.h"
 
 #include "support/Crc.h"
-#include "support/Fp.h"
 #include "support/Json.h"
 #include "support/Parallel.h"
 #include "tensor/Kernels.h"
@@ -42,7 +41,6 @@ void CertificateBuilder::beginRun(size_t TrueClass, size_t ModelLayers,
   Data.ModelLayers = ModelLayers;
   Data.ModelEmbed = ModelEmbed;
   Data.ModelHeads = ModelHeads;
-  Data.Precision = support::fpPrecisionName(support::fpPrecision());
   Data.InputRows = Data.InputCols = 0;
   Data.InputLo.clear();
   Data.InputHi.clear();
@@ -121,9 +119,7 @@ void CertificateBuilder::recordMargin(const zono::Zonotope &Margin,
     }
   }
   // The producer norms the verdict consumed: the same kernels radii()
-  // runs, so the values are bit-identical to the bounds() inputs (f32
-  // mode: the soundly lifted values, which can only exceed the true
-  // norms).
+  // runs, so the values are bit-identical to the bounds() inputs.
   M.AlphaNorm = Margin.phiColumnDualNorms().at(0, 0);
   M.BetaNorm = Margin.epsColumnDualNorms(1.0).at(0, 0);
   M.Lo = Lo;

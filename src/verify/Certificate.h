@@ -83,7 +83,7 @@ struct CertMargin {
   /// zeros of Zero blocks so indices stay aligned with the symbol space).
   std::vector<double> Alpha, Beta;
   /// Producer dual norms ||Alpha||_q and ||Beta||_1 -- the values
-  /// bounds() consumed (f32 mode records the soundly lifted values).
+  /// bounds() consumed.
   double AlphaNorm = 0.0, BetaNorm = 0.0;
   /// lo/hi = Center -/+ (AlphaNorm + BetaNorm) as bounds() computed them.
   double Lo = 0.0, Hi = 0.0;
@@ -99,7 +99,8 @@ struct CertificateData {
   std::string Kind = "deept";
   std::string Method = "fast";
   std::string Norm = "l2";
-  /// Kernel precision of the run that produced the recorded values.
+  /// Arithmetic of the recorded values; always "f64" (the checker
+  /// rejects anything else).
   std::string Precision = "f64";
   double P = 2.0;
   size_t TrueClass = 0;
@@ -120,15 +121,14 @@ struct CertificateData {
 /// The recording hook the verifiers drive. Attach via
 /// VerifierConfig::Certificate (DeepT) or the FeedForwardVerifier
 /// overloads; one builder serves one margin computation at a time
-/// (beginRun resets the measurements, so under f32->f64 escalation the
-/// final run wins).
+/// (beginRun resets the measurements).
 class CertificateBuilder {
 public:
   CertificateData Data;
 
   /// Starts a new recording run: clears input/checkpoints/margin, keeps
-  /// the caller metadata (Query/Kind/Method/Norm/P), stamps the active
-  /// kernel precision and the model dimensions.
+  /// the caller metadata (Query/Kind/Method/Norm/P), stamps the model
+  /// dimensions.
   void beginRun(size_t TrueClass, size_t ModelLayers, size_t ModelEmbed,
                 size_t ModelHeads);
 

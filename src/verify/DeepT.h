@@ -25,7 +25,6 @@
 
 #include "data/SyntheticCorpus.h"
 #include "nn/Transformer.h"
-#include "support/Fp.h"
 #include "zono/DotProduct.h"
 #include "zono/Softmax.h"
 #include "zono/Zonotope.h"
@@ -92,16 +91,8 @@ struct VerifierConfig {
   /// set, certifyMargin() records the input concretization, the Theorem 1
   /// derivation inputs at every propagation checkpoint, and the final
   /// margin derivation, for independent replay by tools/deept_check.
-  /// Under F32 -> F64 escalation the recording restarts, so the final
-  /// (verdict-determining) run wins. Null by default.
+  /// Null by default.
   CertificateBuilder *Certificate = nullptr;
-  /// Kernel precision for the dual-norm reductions (see support/Fp.h).
-  /// F32 accumulates coefficient magnitudes in single precision with a
-  /// sound upward lift -- the certified margin can only shrink, never
-  /// grow -- and certifyMargin() automatically escalates a query back to
-  /// F64 when the widened bound would flip the verdict to "not certified"
-  /// (counted by the prec.escalations metric). F64 is the default.
-  support::FpPrecision Precision = support::FpPrecision::F64;
 };
 
 /// Propagation statistics. The numbers live in the support::Metrics
@@ -154,10 +145,6 @@ public:
                       const data::Sentence &S) const;
 
 private:
-  /// The margin computation proper; certifyMargin() wraps it in the
-  /// configured precision scope and handles the F32 -> F64 escalation.
-  double certifyMarginImpl(const Zonotope &InputEmb, size_t TrueClass) const;
-
   const nn::TransformerModel &Model;
   VerifierConfig Config;
 };

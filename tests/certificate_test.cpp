@@ -18,7 +18,6 @@
 #include "nn/Transformer.h"
 #include "support/Error.h"
 #include "support/Fault.h"
-#include "support/Fp.h"
 #include "support/Metrics.h"
 #include "support/Parallel.h"
 #include "support/Rng.h"
@@ -83,16 +82,13 @@ struct TinySetup {
 };
 
 /// One recorded DeepT run on the tiny model (small eps, certified).
-CertificateData recordedRun(const TinySetup &S, double Eps = 1e-3,
-                            support::FpPrecision Precision =
-                                support::FpPrecision::F64) {
+CertificateData recordedRun(const TinySetup &S, double Eps = 1e-3) {
   CertificateBuilder Cert;
   Cert.Data.Query = "test-q";
   Cert.Data.Norm = "l2";
   Cert.Data.P = 2.0;
   verify::VerifierConfig VC;
   VC.NoiseReductionBudget = 128;
-  VC.Precision = Precision;
   VC.Certificate = &Cert;
   verify::DeepTVerifier V(S.Model, VC);
   Matrix X = S.Model.embed(S.Sent.Tokens);
@@ -103,14 +99,19 @@ CertificateData recordedRun(const TinySetup &S, double Eps = 1e-3,
   return Cert.Data;
 }
 
-/// Expects checkCertificate to throw with the given taxonomy code.
-void expectReject(const std::string &Line, ErrorCode Want,
-                  const char *What) {
+/// Expects checkCertificate to throw with the given taxonomy code (and,
+/// when \p WantMsg is set, a message containing it).
+void expectReject(const std::string &Line, ErrorCode Want, const char *What,
+                  const char *WantMsg = nullptr) {
   try {
     check::checkCertificate(Line);
     FAIL() << What << ": checker accepted a bad certificate";
   } catch (const support::Error &E) {
     EXPECT_EQ(E.code(), Want) << What << ": " << E.what();
+    if (WantMsg) {
+      EXPECT_NE(std::string(E.what()).find(WantMsg), std::string::npos)
+          << What << ": " << E.what();
+    }
   }
 }
 
@@ -177,18 +178,6 @@ TEST(Certificate, DeepTRunReplays) {
   // The digest is stable under re-checking the same artifact.
   EXPECT_EQ(check::semanticDigest(Sum),
             check::semanticDigest(check::checkCertificate(Data.toJson())));
-}
-
-TEST(Certificate, F32RunReplays) {
-  TinySetup S;
-  CertificateData Data = recordedRun(S, 1e-3, support::FpPrecision::F32);
-  check::CertificateSummary Sum =
-      check::checkCertificate(Data.toJson());
-  // If the f32 run certified without escalation, the certificate records
-  // the lifted single-precision norms; an escalated query records its
-  // final f64 run instead. Either way the artifact must replay.
-  EXPECT_EQ(Sum.Precision, Data.Precision);
-  EXPECT_TRUE(Sum.Certified);
 }
 
 TEST(Certificate, FeedForwardRunReplays) {
@@ -261,13 +250,28 @@ TEST(CertificateCorpus, BitFlipInPayloadRejectedByCrc) {
 
 TEST(CertificateCorpus, TamperedAlphaNormRejected) {
   TinySetup S;
-  CertificateData Data = recordedRun(S);
-  // Shrink the recorded ||alpha||_q below the replayed enclosure. The
-  // re-serialization recomputes a valid CRC, so only the replay can
-  // catch this.
+  const CertificateData Good = recordedRun(S);
+  // Move the recorded ||alpha||_q out of the replayed enclosure, below
+  // and above. The re-serialization recomputes a valid CRC, so only the
+  // replay can catch this.
+  CertificateData Data = Good;
   Data.Margin.AlphaNorm *= 0.5;
   expectReject(Data.toJson(), ErrorCode::UnsoundAbstraction,
-               "shrunk alpha norm");
+               "shrunk alpha norm", "below the replayed norm");
+  Data = Good;
+  Data.Margin.AlphaNorm *= 2.0;
+  expectReject(Data.toJson(), ErrorCode::UnsoundAbstraction,
+               "inflated alpha norm", "above the replayed norm");
+}
+
+TEST(CertificateCorpus, UnknownPrecisionRejected) {
+  TinySetup S;
+  CertificateData Data = recordedRun(S);
+  // Every certificate is produced in f64; a re-sealed "f32" payload is a
+  // format the checker does not understand.
+  Data.Precision = "f32";
+  expectReject(Data.toJson(), ErrorCode::StoreCorrupt, "f32 precision",
+               "unknown precision");
 }
 
 TEST(CertificateCorpus, TamperedMarginLoRejected) {

@@ -42,7 +42,7 @@ ASAN_FILTER+=':Norms/NormParamTest.*:Verify.*:Norms/VerifyNormTest.*'
 ASAN_FILTER+=':RadiusSearch*:FeedForwardVerifier.*:Scheduler.*'
 ROBUSTNESS_FILTER='Fault.*:Serialize.*:Io.*:Error.*:Json.*'
 ROBUSTNESS_FILTER+=':Scheduler.Recover*:Scheduler.Resume*:Scheduler.Fsync*'
-SIMD_FILTER='KernelDispatch.*:KernelEquivalence.*:F32Soundness.*'
+SIMD_FILTER='KernelDispatch.*:KernelEquivalence.*'
 SIMD_FILTER+=':TiledGemm.*:Determinism.*:Refinement.*'
 
 configure() { # dir, extra cmake args...
@@ -183,7 +183,7 @@ EOF
 }
 
 stage_simd() {
-  echo "== simd: kernel equivalence across ISAs + sound f32 mode =="
+  echo "== simd: kernel equivalence across ISAs =="
   configure "$ROOT/build-ci/tier1"
   cmake --build "$ROOT/build-ci/tier1" -j "$JOBS" \
         --target deept_tests table1_sst_fast_vs_baf
@@ -193,11 +193,8 @@ stage_simd() {
       --gtest_filter="$SIMD_FILTER"
   DEEPT_ISA=native "$ROOT/build-ci/tier1/tests/deept_tests" \
       --gtest_filter="$SIMD_FILTER"
-  # The f32 soundness oracle under ASan: the narrowed accumulators and
-  # their upward lifts must be memory-clean too.
   configure "$ROOT/build-ci/asan" -DDEEPT_SANITIZE=address
   cmake --build "$ROOT/build-ci/asan" -j "$JOBS" --target deept_tests
-  "$ROOT/build-ci/asan/tests/deept_tests" --gtest_filter='F32Soundness.*'
   # The whole-plane fused coefficient oracle and the Eq. 6 lane-group
   # oracle under ASan, dispatched from the scalar and from the widest
   # table the host supports: the packed shared-panel scratch, the hoisted

@@ -67,9 +67,6 @@ int usage() {
       "           [--eps R] certify one fixed radius R (prints the margin;\n"
       "           a non-positive margin means falsified) instead of binary-\n"
       "           searching the largest certifiable radius\n"
-      "           [--precision f32|f64] kernel precision for the dual-norm\n"
-      "           reductions (DeepT verifiers only; f32 is soundly widened\n"
-      "           and auto-escalates to f64 when a query would falsify)\n"
       "           [--profile-out FILE.jsonl] per-query precision profiles\n"
       "           (checkpoint width/growth stats + noise-symbol\n"
       "           attribution; DeepT verifiers only, one line per margin\n"
@@ -120,8 +117,9 @@ int usage() {
       "           exposition format\n"
       "  info     --model FILE\n"
       "\n"
-      "exit codes: 0 success, 2 bad arguments, 3 model/store load\n"
-      "failure, 4 deadline exceeded, 5 internal error\n"
+      "exit codes: 0 success, 2 bad arguments (including a flag the\n"
+      "command does not take), 3 model/store load failure, 4 deadline\n"
+      "exceeded, 5 internal error\n"
       "\n"
       "execution (any command):\n"
       "  --threads N             worker threads for the shared pool\n"
@@ -253,19 +251,6 @@ int cmdCertify(const ArgParse &Args) {
     return 2;
   }
 
-  support::FpPrecision Precision = support::FpPrecision::F64;
-  if (Args.has("precision")) {
-    std::string Err;
-    if (!support::parseFpPrecision(Args.get("precision"), Precision, &Err)) {
-      std::fprintf(stderr, "error: --precision %s\n", Err.c_str());
-      return 2;
-    }
-    if (Precision == support::FpPrecision::F32 && IsCrown) {
-      std::fprintf(stderr, "error: --precision f32 needs a DeepT verifier "
-                           "(fast, precise or combined)\n");
-      return 2;
-    }
-  }
   support::AppendFile ProfileFile;
   if (!ProfileOut.empty()) {
     support::Error Err;
@@ -310,7 +295,6 @@ int cmdCertify(const ArgParse &Args) {
       Cfg.Method = zono::DotMethod::Precise;
     if (Verifier == "combined")
       Cfg.PreciseLastLayerOnly = true;
-    Cfg.Precision = Precision;
     if (ProfileFile.isOpen())
       Cfg.Profile = &Prof;
     if (CertFile.isOpen())
@@ -765,27 +749,41 @@ int cmdMetrics(const ArgParse &Args) {
   return 0;
 }
 
-int dispatch(const std::string &Cmd, const ArgParse &Args) {
-  if (Cmd == "train")
-    return cmdTrain(Args);
-  if (Cmd == "certify")
-    return cmdCertify(Args);
-  if (Cmd == "synonym")
-    return cmdSynonym(Args);
-  if (Cmd == "attack")
-    return cmdAttack(Args);
-  if (Cmd == "batch")
-    return cmdBatch(Args);
-  if (Cmd == "work")
-    return cmdWork(Args);
-  if (Cmd == "merge")
-    return cmdMerge(Args);
-  if (Cmd == "metrics")
-    return cmdMetrics(Args);
-  if (Cmd == "info")
-    return cmdInfo(Args);
-  return usage();
-}
+/// A subcommand and the flags it reads. Every command also takes the
+/// execution and observability flags main() handles (GlobalFlags).
+struct Command {
+  const char *Name;
+  int (*Run)(const ArgParse &);
+  std::vector<std::string> Flags;
+};
+
+const std::vector<std::string> GlobalFlags = {"threads", "isa", "trace-out",
+                                              "stats-json"};
+
+const Command Commands[] = {
+    {"train",
+     cmdTrain,
+     {"out", "corpus", "embed", "heads", "hidden", "layers", "steps",
+      "std-layernorm", "robust", "seed"}},
+    {"certify",
+     cmdCertify,
+     {"model", "corpus", "norm", "word", "sentences", "verifier", "eps",
+      "profile-out", "cert-out", "seed"}},
+    {"synonym", cmdSynonym, {"model", "corpus", "count", "seed"}},
+    {"attack", cmdAttack, {"model", "corpus", "norm", "word", "seed"}},
+    {"batch",
+     cmdBatch,
+     {"model", "jobs", "out", "corpus", "deadline-ms", "max-retries",
+      "resume", "fsync", "profile-out", "recorder-dir", "cert-dir"}},
+    {"work",
+     cmdWork,
+     {"model", "jobs", "lease-dir", "corpus", "workers", "ranges",
+      "worker-id", "heartbeat-ms", "stale-ms", "max-retries", "deadline-ms",
+      "fsync", "out", "recorder-dir", "cert-dir"}},
+    {"merge", cmdMerge, {"lease-dir", "out", "ranges"}},
+    {"metrics", cmdMetrics, {"from"}},
+    {"info", cmdInfo, {"model"}},
+};
 
 /// Writes the metrics registry (plus which command ran and the pool's
 /// thread count) to \p Path.
@@ -809,6 +807,23 @@ int main(int Argc, char **Argv) {
   if (Args.positional().empty())
     return usage();
   const std::string &Cmd = Args.positional().front();
+  const Command *Chosen = nullptr;
+  for (const Command &C : Commands)
+    if (Cmd == C.Name)
+      Chosen = &C;
+  if (!Chosen)
+    return usage();
+  // A flag the command does not read fails loudly instead of being
+  // ignored (an unsupported or misspelled option must not run the
+  // default).
+  std::vector<std::string> Known = Chosen->Flags;
+  Known.insert(Known.end(), GlobalFlags.begin(), GlobalFlags.end());
+  std::vector<std::string> Unknown = Args.unknownFlags(Known);
+  for (const std::string &Name : Unknown)
+    std::fprintf(stderr, "error: %s does not take --%s\n", Cmd.c_str(),
+                 Name.c_str());
+  if (!Unknown.empty())
+    return 2;
 
   std::string TraceOut = Args.get("trace-out");
   std::string StatsOut = Args.get("stats-json");
@@ -838,7 +853,7 @@ int main(int Argc, char **Argv) {
 
   int Rc;
   try {
-    Rc = dispatch(Cmd, Args);
+    Rc = Chosen->Run(Args);
   } catch (const std::exception &E) {
     // Uncaught failures still leave with their taxonomy's exit class
     // (5 for anything unclassified) instead of a crash.
