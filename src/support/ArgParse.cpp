@@ -2,9 +2,12 @@
 
 #include "support/ArgParse.h"
 
+#include "support/Error.h"
+
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 using namespace deept::support;
@@ -21,12 +24,18 @@ ArgParse::ArgParse(int Argc, const char *const *Argv,
     // --key=value form.
     auto Eq = Name.find('=');
     if (Eq != std::string::npos) {
-      Values[Name.substr(0, Eq)] = Name.substr(Eq + 1);
+      std::string Key = Name.substr(0, Eq);
+      if (Eq + 1 == Name.size())
+        Valueless.push_back(Key);
+      Values[Key] = Name.substr(Eq + 1);
       continue;
     }
-    bool IsSwitch =
-        std::find(Switches.begin(), Switches.end(), Name) != Switches.end();
-    if (IsSwitch || I + 1 >= Argc || std::string(Argv[I + 1]).rfind("--", 0) == 0) {
+    if (std::find(Switches.begin(), Switches.end(), Name) != Switches.end()) {
+      Values[Name] = "";
+      continue;
+    }
+    if (I + 1 >= Argc || std::string(Argv[I + 1]).rfind("--", 0) == 0) {
+      Valueless.push_back(Name);
       Values[Name] = "";
       continue;
     }
@@ -44,37 +53,46 @@ std::string ArgParse::get(const std::string &Name,
   return It == Values.end() ? Default : It->second;
 }
 
-long ArgParse::getInt(const std::string &Name, long Default) const {
-  auto It = Values.find(Name);
-  if (It == Values.end() || It->second.empty())
-    return Default;
-  return std::strtol(It->second.c_str(), nullptr, 10);
-}
+namespace {
 
-bool ArgParse::getIntStrict(const std::string &Name, long &Out,
-                            std::string *Err) const {
-  auto It = Values.find(Name);
-  if (It == Values.end())
-    return true;
-  const std::string &Text = It->second;
+/// Parses all of \p Text with \p Convert (a strtol/strtod wrapper),
+/// throwing BadArgument naming `--Name` unless every character is
+/// consumed and the result is in range.
+template <typename T, typename ConvertFn>
+T parseWhole(const std::string &Name, const std::string &Text,
+             const char *Expected, ConvertFn Convert) {
   char *End = nullptr;
   errno = 0;
-  long V = std::strtol(Text.c_str(), &End, 10);
-  if (Text.empty() || std::isspace(Text[0]) ||
-      End != Text.c_str() + Text.size() || errno == ERANGE) {
-    if (Err)
-      *Err = "--" + Name + " expects an integer, got '" + Text + "'";
-    return false;
-  }
-  Out = V;
-  return true;
+  T V = Convert(Text.c_str(), &End);
+  if (Text.empty() || std::isspace(static_cast<unsigned char>(Text[0])) ||
+      End != Text.c_str() + Text.size() || errno == ERANGE ||
+      !std::isfinite(static_cast<double>(V)))
+    throw Error(ErrorCode::BadArgument, "cli.args",
+                "--" + Name + " expects " + Expected + ", got '" + Text +
+                    "'");
+  return V;
+}
+
+} // namespace
+
+long ArgParse::getInt(const std::string &Name, long Default) const {
+  auto It = Values.find(Name);
+  if (It == Values.end())
+    return Default;
+  return parseWhole<long>(Name, It->second, "an integer",
+                          [](const char *S, char **End) {
+                            return std::strtol(S, End, 10);
+                          });
 }
 
 double ArgParse::getDouble(const std::string &Name, double Default) const {
   auto It = Values.find(Name);
-  if (It == Values.end() || It->second.empty())
+  if (It == Values.end())
     return Default;
-  return std::strtod(It->second.c_str(), nullptr);
+  return parseWhole<double>(Name, It->second, "a finite number",
+                            [](const char *S, char **End) {
+                              return std::strtod(S, End);
+                            });
 }
 
 std::vector<std::string>

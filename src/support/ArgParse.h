@@ -25,7 +25,8 @@ namespace support {
 class ArgParse {
 public:
   /// Parses argv[1..argc). \p Switches lists flags that take no value;
-  /// every other `--flag` consumes the following token as its value.
+  /// every other `--flag` consumes the following token as its value
+  /// unless that token is itself a flag (see valuelessFlags()).
   ArgParse(int Argc, const char *const *Argv,
            const std::vector<std::string> &Switches = {});
 
@@ -35,18 +36,14 @@ public:
   /// Value of `--name`, or \p Default when absent.
   std::string get(const std::string &Name,
                   const std::string &Default = "") const;
+
+  /// Numeric value of `--name`, or \p Default when absent. The whole
+  /// value must parse (a decimal integer, or a finite floating-point
+  /// number); anything else -- `abc`, `0.0x`, an empty value -- throws
+  /// support::Error(BadArgument) naming the flag, so a typo fails loudly
+  /// instead of silently becoming 0 or the default.
   long getInt(const std::string &Name, long Default) const;
   double getDouble(const std::string &Name, double Default) const;
-
-  /// Strict integer parse of `--name`: the whole value must be a decimal
-  /// integer (optionally signed). Returns true leaving \p Out untouched
-  /// when the flag is absent, true with \p Out set when well formed, and
-  /// false (filling \p Err with a "--name expects an integer" message)
-  /// when the flag is present but empty or malformed. Flags whose value
-  /// feeds resource configuration (thread counts, deadlines) use this so
-  /// typos fail loudly instead of silently becoming a default.
-  bool getIntStrict(const std::string &Name, long &Out,
-                    std::string *Err = nullptr) const;
 
   /// Positional arguments in order.
   const std::vector<std::string> &positional() const { return Positional; }
@@ -55,9 +52,14 @@ public:
   std::vector<std::string>
   unknownFlags(const std::vector<std::string> &Known) const;
 
+  /// Non-switch flags given without a value: a trailing `--eps`, an
+  /// `--eps` directly followed by another flag, or `--out=`.
+  const std::vector<std::string> &valuelessFlags() const { return Valueless; }
+
 private:
   std::map<std::string, std::string> Values;
   std::vector<std::string> Positional;
+  std::vector<std::string> Valueless;
 };
 
 } // namespace support

@@ -161,12 +161,30 @@ bool JobQueue::fromJson(const support::JsonValue &Doc,
   const support::JsonValue *Jobs = Doc.find("jobs");
   if (!Jobs || !Jobs->isArray())
     return Fail("jobs document needs a top-level \"jobs\" array");
+  // The schema is closed: a misspelt key ("deadline" for "deadline_ms")
+  // must fail instead of silently running the default.
+  static const char *const Keys[] = {"id",     "tokens",      "label",
+                                     "seed",   "word",        "norm",
+                                     "eps",    "search",      "method",
+                                     "budget", "deadline_ms"};
+  // Tokens, seeds, word positions and class labels are indices: only
+  // non-negative integers convert without truncation or undefined
+  // behaviour.
+  auto IsIndex = [](const support::JsonValue &V) {
+    return V.K == support::JsonValue::Kind::Number && V.NumberVal >= 0 &&
+           V.NumberVal <= 9007199254740992.0 &&
+           V.NumberVal == std::floor(V.NumberVal);
+  };
 
   for (size_t I = 0; I < Jobs->Items.size(); ++I) {
     const support::JsonValue &J = Jobs->Items[I];
     std::string Where = "job " + std::to_string(I);
     if (!J.isObject())
       return Fail(Where + ": expected an object");
+    for (const auto &Member : J.Members)
+      if (std::find(std::begin(Keys), std::end(Keys), Member.first) ==
+          std::end(Keys))
+        return Fail(Where + ": unknown key \"" + Member.first + "\"");
     JobSpec S;
     if (const support::JsonValue *V = J.find("id")) {
       if (V->K != support::JsonValue::Kind::String)
@@ -177,35 +195,40 @@ bool JobQueue::fromJson(const support::JsonValue &Doc,
     // Sentence: explicit tokens, or a corpus sample by seed.
     const support::JsonValue *Tokens = J.find("tokens");
     const support::JsonValue *Seed = J.find("seed");
+    const support::JsonValue *Label = J.find("label");
+    if (Label && !IsIndex(*Label))
+      return Fail(Where + ": \"label\" must be a non-negative integer");
     if (Tokens) {
       if (!Tokens->isArray() || Tokens->Items.empty())
         return Fail(Where + ": \"tokens\" must be a non-empty array");
       for (const support::JsonValue &T : Tokens->Items) {
-        if (T.K != support::JsonValue::Kind::Number || T.NumberVal < 0)
-          return Fail(Where + ": tokens must be non-negative numbers");
+        if (!IsIndex(T))
+          return Fail(Where + ": tokens must be non-negative integers");
         S.Tokens.push_back(static_cast<size_t>(T.NumberVal));
       }
-      const support::JsonValue *Label = J.find("label");
-      if (!Label || Label->K != support::JsonValue::Kind::Number)
+      if (!Label)
         return Fail(Where + ": explicit \"tokens\" need a \"label\"");
       S.TrueClass = static_cast<size_t>(Label->NumberVal);
     } else if (Seed) {
-      if (Seed->K != support::JsonValue::Kind::Number)
-        return Fail(Where + ": \"seed\" must be a number");
+      if (!IsIndex(*Seed))
+        return Fail(Where + ": \"seed\" must be a non-negative integer");
       if (!Corpus)
         return Fail(Where + ": \"seed\" jobs need a corpus");
       support::Rng Rng(static_cast<uint64_t>(Seed->NumberVal));
       data::Sentence Sent = Corpus->sampleSentence(Rng);
       S.Tokens = std::move(Sent.Tokens);
       S.TrueClass = Sent.Label;
-      if (const support::JsonValue *Label = J.find("label"))
+      if (Label)
         S.TrueClass = static_cast<size_t>(Label->NumberVal);
     } else {
       return Fail(Where + ": needs \"tokens\" or \"seed\"");
     }
 
-    if (const support::JsonValue *V = J.find("word"))
+    if (const support::JsonValue *V = J.find("word")) {
+      if (!IsIndex(*V))
+        return Fail(Where + ": \"word\" must be a non-negative integer");
       S.Word = static_cast<size_t>(V->NumberVal);
+    }
     if (const support::JsonValue *V = J.find("norm")) {
       if (V->K != support::JsonValue::Kind::String ||
           !parseNormToken(V->StringVal, S.P))
@@ -704,7 +727,6 @@ std::vector<JobResult> Scheduler::run(const JobQueue &Queue) const {
   static support::Counter &Degraded = M.counter("sched.degraded");
   static support::Counter &Errors = M.counter("sched.errors");
   static support::Counter &Skipped = M.counter("sched.skipped");
-  static support::Counter &Aborted = M.counter("sched.aborted");
   static support::Histogram &QueueLatencyMs =
       M.histogram("sched.queue_latency_ms");
   static support::Histogram &JobMs = M.histogram("sched.job_ms");
@@ -752,16 +774,6 @@ std::vector<JobResult> Scheduler::run(const JobQueue &Queue) const {
       if (Done.count(R.Key)) {
         R.Status = JobStatus::Skipped;
         Skipped.add(1);
-        continue;
-      }
-      // A lost lease means another worker now owns this shard's jobs:
-      // abandon them with a typed error and, below, keep them out of the
-      // store (the reclaimer's re-run writes the canonical records).
-      if (Opts.AbortCheck && Opts.AbortCheck()) {
-        R.Status = JobStatus::Error;
-        R.Code = support::ErrorCode::LeaseLost;
-        R.Error = "batch aborted: lease lost before the job started";
-        Aborted.add(1);
         continue;
       }
       // The span carries the job key (not the queue index) so trace

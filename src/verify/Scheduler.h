@@ -37,7 +37,6 @@
 #include "verify/RadiusSearch.h"
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <set>
@@ -159,7 +158,9 @@ public:
   /// Each job names its sentence either explicitly ("tokens":[..] plus
   /// "label":0|1) or as a corpus sample ("seed":N, which draws a
   /// labelled sentence from \p Corpus; "label" may override). Returns
-  /// false and fills \p Err on malformed documents.
+  /// false and fills \p Err on malformed documents, including a job with
+  /// a key outside the schema above or a "tokens" / "seed" / "word" /
+  /// "label" value that is not a non-negative integer.
   static bool fromJson(const support::JsonValue &Doc,
                        const data::SyntheticCorpus *Corpus, JobQueue &Out,
                        std::string *Err);
@@ -216,11 +217,6 @@ struct SchedulerOptions {
   int MaxRetries = 0;
   int64_t RetryBackoffMs = 100;
   int64_t RetryBackoffMaxMs = 5000;
-  /// Polled before each job starts; when it returns true the remaining
-  /// jobs are abandoned as lease_lost error results and -- crucially --
-  /// are NOT appended to the JSONL store. The coordination layer sets
-  /// this so a worker whose lease was reclaimed stops writing its shard.
-  std::function<bool()> AbortCheck;
 };
 
 /// The batch driver. One instance serves one model; run() may be called

@@ -1,6 +1,7 @@
 //===- tests/argparse_test.cpp ---------------------------------*- C++ -*-===//
 
 #include "support/ArgParse.h"
+#include "support/Error.h"
 #include "support/Parallel.h"
 
 #include <gtest/gtest.h>
@@ -33,6 +34,7 @@ TEST(ArgParse, SwitchesConsumeNoValue) {
   EXPECT_TRUE(A.has("robust"));
   ASSERT_EQ(A.positional().size(), 2u);
   EXPECT_EQ(A.positional()[1], "positional2");
+  EXPECT_TRUE(A.valuelessFlags().empty());
 }
 
 TEST(ArgParse, EqualsForm) {
@@ -41,17 +43,17 @@ TEST(ArgParse, EqualsForm) {
   EXPECT_DOUBLE_EQ(A.getDouble("eps", 0.0), 0.25);
 }
 
+// A non-switch flag directly followed by another flag has no value: it
+// is reported (the CLI rejects it) instead of reading as a switch.
 TEST(ArgParse, FlagBeforeAnotherFlagActsAsSwitch) {
   ArgParse A = parse({"prog", "--verbose", "--out", "x"});
-  EXPECT_TRUE(A.has("verbose"));
-  EXPECT_EQ(A.get("verbose"), "");
+  EXPECT_EQ(A.valuelessFlags(), std::vector<std::string>{"verbose"});
   EXPECT_EQ(A.get("out"), "x");
 }
 
 TEST(ArgParse, TrailingFlagWithoutValue) {
-  ArgParse A = parse({"prog", "--flag"});
-  EXPECT_TRUE(A.has("flag"));
-  EXPECT_EQ(A.get("flag", "d"), "");
+  ArgParse A = parse({"prog", "--out=", "--flag"});
+  EXPECT_EQ(A.valuelessFlags(), (std::vector<std::string>{"out", "flag"}));
 }
 
 TEST(ArgParse, IntAndDoubleDefaults) {
@@ -69,29 +71,32 @@ TEST(ArgParse, UnknownFlagDetection) {
   EXPECT_EQ(Unknown[0], "typo");
 }
 
+// getInt / getDouble are strict: the whole value must parse.
 TEST(ArgParse, GetIntStrictAcceptsWellFormedIntegers) {
   ArgParse A = parse({"prog", "--deadline-ms", "250", "--neg", "-3"});
-  long Out = 7;
-  std::string Err;
-  EXPECT_TRUE(A.getIntStrict("deadline-ms", Out, &Err));
-  EXPECT_EQ(Out, 250);
-  EXPECT_TRUE(A.getIntStrict("neg", Out, &Err));
-  EXPECT_EQ(Out, -3);
-  // Absent flags succeed without touching the output.
-  Out = 42;
-  EXPECT_TRUE(A.getIntStrict("absent", Out, &Err));
-  EXPECT_EQ(Out, 42);
+  EXPECT_EQ(A.getInt("deadline-ms", 7), 250);
+  EXPECT_EQ(A.getInt("neg", 7), -3);
+  // Absent flags return the default.
+  EXPECT_EQ(A.getInt("absent", 42), 42);
 }
 
 TEST(ArgParse, GetIntStrictRejectsMalformedValues) {
   ArgParse A = parse({"prog", "--a", "12x", "--b", "abc", "--c", "1.5",
-                      "--d", ""});
-  long Out = 0;
-  for (const char *Name : {"a", "b", "c", "d"}) {
-    std::string Err;
-    EXPECT_FALSE(A.getIntStrict(Name, Out, &Err)) << Name;
-    EXPECT_NE(Err.find("expects an integer"), std::string::npos) << Err;
-  }
+                      "--d", "", "--eps", "0.0x"});
+  auto ExpectBadArgument = [](auto Read, const std::string &Text) {
+    try {
+      Read();
+      ADD_FAILURE() << "accepted " << Text;
+    } catch (const Error &E) {
+      EXPECT_EQ(E.code(), ErrorCode::BadArgument);
+      EXPECT_NE(std::string(E.what()).find(Text), std::string::npos)
+          << E.what();
+    }
+  };
+  for (const char *Name : {"a", "b", "c", "d"})
+    ExpectBadArgument([&] { A.getInt(Name, 0); },
+                      "--" + std::string(Name) + " expects an integer");
+  ExpectBadArgument([&] { A.getDouble("eps", 0.0); }, "--eps expects");
 }
 
 TEST(ThreadCount, ParseAcceptsPositiveIntegers) {

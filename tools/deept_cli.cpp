@@ -30,7 +30,6 @@
 #include "support/Trace.h"
 #include "tensor/Kernels.h"
 #include "verify/Certificate.h"
-#include "verify/Coordination.h"
 #include "verify/DeepT.h"
 #include "verify/Profile.h"
 #include "verify/RadiusSearch.h"
@@ -43,8 +42,6 @@
 #include <sstream>
 #include <string>
 #include <sys/stat.h>
-#include <sys/wait.h>
-#include <unistd.h>
 #include <vector>
 
 using namespace deept;
@@ -77,11 +74,14 @@ int usage() {
       "  synonym  --model FILE [--corpus ...] [--count N]\n"
       "  attack   --model FILE [--corpus ...] [--norm l1|l2|linf] [--word N]\n"
       "  batch    --model FILE --jobs FILE.json --out FILE.jsonl\n"
-      "           [--corpus ...] [--deadline-ms N] [--resume] [--fsync]\n"
-      "           [--profile-out FILE.jsonl] [--recorder-dir DIR]\n"
+      "           [--corpus ...] [--deadline-ms N] [--max-retries N]\n"
+      "           [--resume] [--fsync] [--profile-out FILE.jsonl]\n"
+      "           [--recorder-dir DIR] [--cert-dir DIR]\n"
       "           run a batch of certification jobs on the scheduler:\n"
       "           per-job deadlines, Precise->Fast degradation, results\n"
       "           appended to the JSONL store (one object per job);\n"
+      "           transient job failures retry up to --max-retries times\n"
+      "           on a deterministic exponential backoff;\n"
       "           --resume skips jobs already present in the store and\n"
       "           repairs a crash-torn trailing record; --fsync makes\n"
       "           each record durable before the next job commits;\n"
@@ -92,34 +92,14 @@ int usage() {
       "           certificate (cert-<key>.json, replayable with\n"
       "           deept_check) for each DeepT job whose final probe\n"
       "           certified\n"
-      "  work     --model FILE --jobs FILE.json --lease-dir DIR\n"
-      "           [--corpus ...] [--workers N] [--ranges N]\n"
-      "           [--worker-id ID] [--heartbeat-ms N] [--stale-ms N]\n"
-      "           [--max-retries N] [--deadline-ms N] [--fsync]\n"
-      "           [--out FILE.jsonl]\n"
-      "           crash-tolerant multi-worker batch: jobs shard into\n"
-      "           --ranges digest ranges, each guarded by a lease file\n"
-      "           under --lease-dir (heartbeat every --heartbeat-ms;\n"
-      "           leases silent for --stale-ms, default 5 heartbeats, are\n"
-      "           reclaimed and their shard resumed). Run the same\n"
-      "           command from N machines/processes, or let --workers N\n"
-      "           fork N local workers. Transient job failures retry up\n"
-      "           to --max-retries times on a deterministic exponential\n"
-      "           backoff. --out merges the shards once every range is\n"
-      "           done (equivalent to a separate `merge`)\n"
-      "  merge    --lease-dir DIR --out FILE.jsonl [--ranges N]\n"
-      "           merge the per-range shards of a `work` batch into one\n"
-      "           canonical results JSONL (sorted by key, CRC-checked,\n"
-      "           duplicate records collapsed; conflicting duplicates are\n"
-      "           a store_corrupt error)\n"
       "  metrics  [--from stats.json]  print the metrics registry (or a\n"
       "           saved --stats-json artifact) in Prometheus text\n"
       "           exposition format\n"
       "  info     --model FILE\n"
       "\n"
       "exit codes: 0 success, 2 bad arguments (including a flag the\n"
-      "command does not take), 3 model/store load failure, 4 deadline\n"
-      "exceeded, 5 internal error\n"
+      "command does not take or a flag given without its value), 3\n"
+      "model/store load failure, 4 deadline exceeded, 5 internal error\n"
       "\n"
       "execution (any command):\n"
       "  --threads N             worker threads for the shared pool\n"
@@ -227,15 +207,18 @@ int cmdCertify(const ArgParse &Args) {
   double P = 2.0;
   if (int Rc = parseNormOrFail(Args, P))
     return Rc;
+  // Numeric flags parse (and reject malformed values) before the model
+  // loads.
+  size_t Word = Args.getInt("word", 0);
+  size_t Count = Args.getInt("sentences", 3);
+  double FixedEps = Args.getDouble("eps", 0.0);
+  long Seed = Args.getInt("seed", 2);
+  std::string Verifier = Args.get("verifier", "fast");
   nn::TransformerModel Model;
   if (int Rc = loadModelOrFail(Args, Model))
     return Rc;
   data::SyntheticCorpus Corpus(
       corpusConfig(Args.get("corpus", "sst"), Model.Config.EmbedDim));
-  size_t Word = Args.getInt("word", 0);
-  size_t Count = Args.getInt("sentences", 3);
-  std::string Verifier = Args.get("verifier", "fast");
-  double FixedEps = Args.getDouble("eps", 0.0);
   bool IsCrown = Verifier == "crown-baf" || Verifier == "crown-backward";
 
   std::string ProfileOut = Args.get("profile-out");
@@ -325,7 +308,7 @@ int cmdCertify(const ArgParse &Args) {
     return M;
   };
 
-  support::Rng Rng(Args.getInt("seed", 2));
+  support::Rng Rng(Seed);
   size_t Done = 0;
   while (Done < Count) {
     data::Sentence S = Corpus.sampleSentence(Rng);
@@ -424,17 +407,15 @@ int cmdAttack(const ArgParse &Args) {
 }
 
 /// The operator-facing end-of-run health line: degraded IO (certificate
-/// write failures, store records dropped for CRC mismatch) and the
-/// coordination/retry counters, without scraping --stats-json.
+/// write failures, store records dropped for CRC mismatch) and the retry
+/// counter, without scraping --stats-json.
 void printHealthLine() {
   support::Metrics &M = support::Metrics::global();
   std::printf("health: %.0f cert write failures, %.0f store crc drops, "
-              "%.0f retries, %.0f leases claimed, %.0f leases reclaimed\n",
+              "%.0f retries\n",
               M.counterValue("cert.write_failures"),
               M.counterValue("store.crc_dropped"),
-              M.counterValue("sched.retries"),
-              M.counterValue("coord.leases_claimed"),
-              M.counterValue("coord.leases_reclaimed"));
+              M.counterValue("sched.retries"));
 }
 
 int cmdBatch(const ArgParse &Args) {
@@ -459,17 +440,15 @@ int cmdBatch(const ArgParse &Args) {
   }
 
   verify::SchedulerOptions SO;
-  long DeadlineMs = 0;
-  if (!Args.getIntStrict("deadline-ms", DeadlineMs, &Err) || DeadlineMs < 0) {
-    std::fprintf(stderr, "error: %s\n",
-                 Err.empty() ? "--deadline-ms must be >= 0" : Err.c_str());
+  long DeadlineMs = Args.getInt("deadline-ms", 0);
+  if (DeadlineMs < 0) {
+    std::fprintf(stderr, "error: --deadline-ms must be >= 0\n");
     return 2;
   }
   SO.DefaultDeadlineMs = DeadlineMs;
-  long MaxRetries = 0;
-  if (!Args.getIntStrict("max-retries", MaxRetries, &Err) || MaxRetries < 0) {
-    std::fprintf(stderr, "error: %s\n",
-                 Err.empty() ? "--max-retries must be >= 0" : Err.c_str());
+  long MaxRetries = Args.getInt("max-retries", 0);
+  if (MaxRetries < 0) {
+    std::fprintf(stderr, "error: --max-retries must be >= 0\n");
     return 2;
   }
   SO.MaxRetries = static_cast<int>(MaxRetries);
@@ -511,189 +490,6 @@ int cmdBatch(const ArgParse &Args) {
                                      : 0.0,
               support::ThreadPool::global().threadCount(), OutPath.c_str());
   printHealthLine();
-  return 0;
-}
-
-int runMerge(const std::string &LeaseDir, size_t Ranges,
-             const std::string &OutPath) {
-  verify::MergeReport Rep;
-  support::Error Err;
-  if (!verify::mergeShards(LeaseDir, Ranges, OutPath, Rep, &Err)) {
-    std::fprintf(stderr, "error: %s\n", Err.what());
-    return support::exitCodeFor(Err.code() == support::ErrorCode::Ok
-                                    ? support::ErrorCode::Internal
-                                    : Err.code());
-  }
-  std::printf("merge: %zu records from %zu shards -> %s (%zu duplicates "
-              "collapsed, %zu crc-dropped, %zu malformed dropped)\n",
-              Rep.Records, Rep.Shards, OutPath.c_str(),
-              Rep.DuplicatesCollapsed, Rep.DroppedCrc, Rep.DroppedMalformed);
-  return 0;
-}
-
-int cmdMerge(const ArgParse &Args) {
-  std::string LeaseDir = Args.get("lease-dir");
-  std::string OutPath = Args.get("out");
-  if (LeaseDir.empty() || OutPath.empty()) {
-    std::fprintf(stderr,
-                 "error: merge needs --lease-dir DIR and --out FILE.jsonl\n");
-    return 2;
-  }
-  std::string Err;
-  long Ranges = 0;
-  if (!Args.getIntStrict("ranges", Ranges, &Err) || Ranges < 0) {
-    std::fprintf(stderr, "error: %s\n",
-                 Err.empty() ? "--ranges must be >= 0" : Err.c_str());
-    return 2;
-  }
-  return runMerge(LeaseDir, static_cast<size_t>(Ranges), OutPath);
-}
-
-/// The raw command line, stashed by main() so the --workers fork path can
-/// re-exec this binary with a per-child worker id.
-int GArgc = 0;
-const char *const *GArgv = nullptr;
-
-int cmdWork(const ArgParse &Args) {
-  std::string JobsPath = Args.get("jobs");
-  std::string LeaseDir = Args.get("lease-dir");
-  if (JobsPath.empty() || LeaseDir.empty()) {
-    std::fprintf(
-        stderr,
-        "error: work needs --jobs FILE.json and --lease-dir DIR\n");
-    return 2;
-  }
-  std::string Err;
-  long Workers = 1, Ranges = 8, HeartbeatMs = 1000, StaleMs = 0,
-       MaxRetries = 2, DeadlineMs = 0;
-  struct IntFlag {
-    const char *Name;
-    long *Out;
-    long Min;
-  } Flags[] = {{"workers", &Workers, 1},      {"ranges", &Ranges, 1},
-               {"heartbeat-ms", &HeartbeatMs, 1}, {"stale-ms", &StaleMs, 0},
-               {"max-retries", &MaxRetries, 0},
-               {"deadline-ms", &DeadlineMs, 0}};
-  for (const IntFlag &F : Flags) {
-    if (!Args.getIntStrict(F.Name, *F.Out, &Err) || *F.Out < F.Min) {
-      if (Err.empty())
-        Err = "--" + std::string(F.Name) + " must be >= " +
-              std::to_string(F.Min);
-      std::fprintf(stderr, "error: %s\n", Err.c_str());
-      return 2;
-    }
-  }
-  ::mkdir(LeaseDir.c_str(), 0755); // existing directory is fine
-  std::string OutPath = Args.get("out");
-
-  if (Workers > 1) {
-    // fork + execv of this binary per worker: exec resets the process, so
-    // the children never inherit the parent's (possibly threaded) state.
-    std::string BaseId = Args.get("worker-id");
-    if (BaseId.empty())
-      BaseId = "w" + std::to_string(static_cast<long>(::getpid()));
-    std::vector<std::string> Base;
-    for (int I = 0; I < GArgc; ++I) {
-      std::string A = GArgv[I];
-      // Children are single workers with their own ids; the merge (--out)
-      // stays with the parent.
-      if (A == "--workers" || A == "--worker-id" || A == "--out") {
-        ++I;
-        continue;
-      }
-      Base.push_back(A);
-    }
-    std::vector<pid_t> Pids;
-    for (long K = 0; K < Workers; ++K) {
-      pid_t Pid = ::fork();
-      if (Pid < 0) {
-        std::perror("fork");
-        break;
-      }
-      if (Pid == 0) {
-        std::vector<std::string> ChildArgs = Base;
-        ChildArgs.push_back("--workers");
-        ChildArgs.push_back("1");
-        ChildArgs.push_back("--worker-id");
-        ChildArgs.push_back(BaseId + "-" + std::to_string(K));
-        std::vector<char *> Cv;
-        for (std::string &S : ChildArgs)
-          Cv.push_back(const_cast<char *>(S.c_str()));
-        Cv.push_back(nullptr);
-        ::execv("/proc/self/exe", Cv.data());
-        ::_exit(127);
-      }
-      Pids.push_back(Pid);
-    }
-    int Worst = Pids.empty() ? 5 : 0;
-    for (pid_t Pid : Pids) {
-      int St = 0;
-      ::waitpid(Pid, &St, 0);
-      int Rc = WIFEXITED(St) ? WEXITSTATUS(St)
-                             : 128 + (WIFSIGNALED(St) ? WTERMSIG(St) : 0);
-      if (Rc > Worst)
-        Worst = Rc;
-    }
-    // A failed child is not a failed batch: if every range still reached
-    // its done marker (survivors picked up the crashed worker's ranges),
-    // the batch converged.
-    bool AllDone = true;
-    for (long R = 0; R < Ranges; ++R)
-      if (!support::fileExists(
-              support::donePath(LeaseDir, static_cast<size_t>(R))))
-        AllDone = false;
-    if (!AllDone)
-      return Worst ? Worst : support::exitCodeFor(
-                                 support::ErrorCode::Internal);
-    if (Worst)
-      std::fprintf(stderr,
-                   "warning: a worker exited with status %d but the batch "
-                   "converged\n",
-                   Worst);
-    if (!OutPath.empty())
-      return runMerge(LeaseDir, static_cast<size_t>(Ranges), OutPath);
-    return 0;
-  }
-
-  nn::TransformerModel Model;
-  if (int Rc = loadModelOrFail(Args, Model))
-    return Rc;
-  data::SyntheticCorpus Corpus(
-      corpusConfig(Args.get("corpus", "sst"), Model.Config.EmbedDim));
-  verify::JobQueue Queue;
-  if (!verify::JobQueue::fromJsonFile(JobsPath, &Corpus, Queue, &Err)) {
-    std::fprintf(stderr, "error: %s\n", Err.c_str());
-    return support::exitCodeFor(support::ErrorCode::BadArgument);
-  }
-
-  verify::CoordinationOptions CO;
-  CO.LeaseDir = LeaseDir;
-  CO.Ranges = static_cast<size_t>(Ranges);
-  CO.WorkerId = Args.get("worker-id");
-  CO.HeartbeatMs = HeartbeatMs;
-  CO.StaleAfterMs = StaleMs;
-  CO.Sched.DefaultDeadlineMs = DeadlineMs;
-  CO.Sched.Fsync = Args.has("fsync");
-  CO.Sched.MaxRetries = static_cast<int>(MaxRetries);
-  CO.Sched.RecorderDir = Args.get("recorder-dir");
-  if (!CO.Sched.RecorderDir.empty())
-    ::mkdir(CO.Sched.RecorderDir.c_str(), 0755);
-  CO.Sched.CertDir = Args.get("cert-dir");
-  if (!CO.Sched.CertDir.empty())
-    ::mkdir(CO.Sched.CertDir.c_str(), 0755);
-
-  support::Timer Timer;
-  verify::Worker Worker(Model, Queue, CO);
-  verify::WorkerReport Rep = Worker.run();
-  std::printf("work: %zu ranges completed, %zu leases reclaimed, %zu jobs "
-              "(%zu ok, %zu degraded, %zu error, %zu skipped), %zu "
-              "certified, %.2f s wall\n",
-              Rep.RangesCompleted, Rep.LeasesReclaimed, Rep.Jobs, Rep.JobsOk,
-              Rep.JobsDegraded, Rep.JobsError, Rep.JobsSkipped, Rep.Certified,
-              Timer.seconds());
-  printHealthLine();
-  if (!OutPath.empty())
-    return runMerge(LeaseDir, CO.Ranges, OutPath);
   return 0;
 }
 
@@ -760,6 +556,10 @@ struct Command {
 const std::vector<std::string> GlobalFlags = {"threads", "isa", "trace-out",
                                               "stats-json"};
 
+/// The flags that take no value; every other flag needs one.
+const std::vector<std::string> Switches = {"std-layernorm", "robust",
+                                           "resume", "fsync"};
+
 const Command Commands[] = {
     {"train",
      cmdTrain,
@@ -775,12 +575,6 @@ const Command Commands[] = {
      cmdBatch,
      {"model", "jobs", "out", "corpus", "deadline-ms", "max-retries",
       "resume", "fsync", "profile-out", "recorder-dir", "cert-dir"}},
-    {"work",
-     cmdWork,
-     {"model", "jobs", "lease-dir", "corpus", "workers", "ranges",
-      "worker-id", "heartbeat-ms", "stale-ms", "max-retries", "deadline-ms",
-      "fsync", "out", "recorder-dir", "cert-dir"}},
-    {"merge", cmdMerge, {"lease-dir", "out", "ranges"}},
     {"metrics", cmdMetrics, {"from"}},
     {"info", cmdInfo, {"model"}},
 };
@@ -801,9 +595,7 @@ bool writeStatsJson(const std::string &Path, const std::string &Cmd) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  GArgc = Argc;
-  GArgv = Argv;
-  ArgParse Args(Argc, Argv, {"std-layernorm", "robust", "resume", "fsync"});
+  ArgParse Args(Argc, Argv, Switches);
   if (Args.positional().empty())
     return usage();
   const std::string &Cmd = Args.positional().front();
@@ -823,6 +615,12 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: %s does not take --%s\n", Cmd.c_str(),
                  Name.c_str());
   if (!Unknown.empty())
+    return 2;
+  // A valueless flag is a usage error, not "unset": a trailing `--eps`
+  // must not quietly turn a fixed-radius query into a radius search.
+  for (const std::string &Name : Args.valuelessFlags())
+    std::fprintf(stderr, "error: --%s needs a value\n", Name.c_str());
+  if (!Args.valuelessFlags().empty())
     return 2;
 
   std::string TraceOut = Args.get("trace-out");
