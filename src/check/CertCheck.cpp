@@ -242,16 +242,15 @@ CertificateSummary check::checkCertificate(std::string_view Line) {
     std::vector<double> B = getNumberArray(C, "eps_norm", N);
     std::vector<double> Lo = getNumberArray(C, "lo", N);
     std::vector<double> Hi = getNumberArray(C, "hi", N);
-    for (size_t V = 0; V < N; ++V) {
+    for (size_t V = 0; V < N; ++V)
       if (A[V] < 0.0 || B[V] < 0.0)
         unsound("negative dual norm at checkpoint " + Cp.Site);
-      if (!loEnclosure(Center[V], A[V], B[V]).contains(Lo[V]))
-        unsound("checkpoint " + Cp.Site + " lower bound does not replay: " +
-                "var " + std::to_string(V));
-      if (!hiEnclosure(Center[V], A[V], B[V]).contains(Hi[V]))
-        unsound("checkpoint " + Cp.Site + " upper bound does not replay: " +
-                "var " + std::to_string(V));
-    }
+    bool Upper = false;
+    size_t Bad = firstUnreplayedBound(Center.data(), A.data(), B.data(),
+                                      Lo.data(), Hi.data(), N, Upper);
+    if (Bad != N)
+      unsound("checkpoint " + Cp.Site + (Upper ? " upper" : " lower") +
+              " bound does not replay: var " + std::to_string(Bad));
     if (I == 0) {
       FirstLo = std::move(Lo);
       FirstHi = std::move(Hi);

@@ -104,6 +104,50 @@ Interval check::hiEnclosure(double C, double A, double B) {
   return {addDown(C, addDown(A, B)), addUp(C, addUp(A, B))};
 }
 
+size_t check::firstUnreplayedBound(const double *C, const double *A,
+                                   const double *B, const double *Lo,
+                                   const double *Hi, size_t N,
+                                   bool &UpperFailed) {
+  // Every step rounds down, and each upward-rounded term of loEnclosure /
+  // hiEnclosure is computed as up(x) = -down(-x), exact because negation
+  // is: the same bits as the scalar ops, including their nudge fallback.
+  const bool Nudge = !directedRoundingHonored();
+  RoundMode R(Nudge ? fegetround() : FE_DOWNWARD);
+  auto Down = [Nudge](double X) { return Nudge ? nudgeDown(X) : X; };
+  for (size_t V = 0; V < N; ++V) {
+    volatile double Cv = C[V], Av = A[V], Bv = B[V];
+    volatile double SumDown = Down(Av + Bv), NegSumUp = Down(-Av - Bv);
+    Interval L{Down(Cv + NegSumUp), -Down(SumDown - Cv)};
+    Interval H{Down(Cv + SumDown), -Down(NegSumUp - Cv)};
+    if (!L.contains(Lo[V]) || !H.contains(Hi[V])) {
+      UpperFailed = L.contains(Lo[V]);
+      return V;
+    }
+  }
+  return N;
+}
+
+namespace {
+
+/// One pass of dualNormEnclosure under rounding mode \p Mode: sums |v|
+/// (or v*v when \p Square) in ascending index order, then takes the
+/// square root when \p Square. Without directed rounding every rounded
+/// step is nudged one ULP instead, as the scalar ops do.
+double directedNorm(const std::vector<double> &V, bool Square, int Mode) {
+  const bool Nudge = !directedRoundingHonored();
+  const double Toward = Mode == FE_DOWNWARD ? -Inf : Inf;
+  auto Round = [&](double X) { return Nudge ? std::nextafter(X, Toward) : X; };
+  RoundMode R(Mode);
+  volatile double S = 0.0;
+  for (double X : V) {
+    volatile double T = Square ? Round(X * X) : std::fabs(X); // |v| is exact
+    S = Round(S + T);
+  }
+  return Square ? Round(std::sqrt(S)) : S;
+}
+
+} // namespace
+
 Interval check::dualNormEnclosure(double Q, const std::vector<double> &V) {
   if (Q == -1.0) {
     // q = infinity: max |v|, exact in floating point.
@@ -112,19 +156,7 @@ Interval check::dualNormEnclosure(double Q, const std::vector<double> &V) {
       M = std::fabs(X) > M ? std::fabs(X) : M;
     return {M, M};
   }
-  if (Q == 2.0) {
-    double Lo = 0.0, Hi = 0.0;
-    for (double X : V) {
-      Lo = addDown(Lo, mulDown(X, X));
-      Hi = addUp(Hi, mulUp(X, X));
-    }
-    return {sqrtDown(Lo), sqrtUp(Hi)};
-  }
-  // q = 1: sum of absolutes (|v| is exact).
-  double Lo = 0.0, Hi = 0.0;
-  for (double X : V) {
-    Lo = addDown(Lo, std::fabs(X));
-    Hi = addUp(Hi, std::fabs(X));
-  }
-  return {Lo, Hi};
+  // q = 2 (Euclidean) or q = 1 (sum of absolutes), one pass per side.
+  return {directedNorm(V, Q == 2.0, FE_DOWNWARD),
+          directedNorm(V, Q == 2.0, FE_UPWARD)};
 }

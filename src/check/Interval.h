@@ -19,7 +19,8 @@
 /// runtime self-test (directedRoundingHonored) detects platforms where
 /// the mode switch is not honored and falls back to a 1-ULP
 /// nextafter-widening of the round-to-nearest result, which is sound for
-/// every correctly-rounded primitive (+, -, *, sqrt).
+/// every correctly-rounded primitive (+, -, *, sqrt). The array passes
+/// below switch the mode once per pass, with the scalar ops' bits.
 ///
 /// Soundness argument used by the replay: directed per-step accumulation
 /// brackets ANY faithful round-to-nearest accumulation of the same terms
@@ -69,6 +70,13 @@ double sqrtUp(double A);
 Interval loEnclosure(double C, double A, double B);
 /// The directed enclosure of c + (a + b).
 Interval hiEnclosure(double C, double A, double B);
+
+/// Index of the first of N variables whose recorded \p Lo (checked first)
+/// or \p Hi is outside loEnclosure / hiEnclosure, with \p UpperFailed
+/// telling which; N when all replay. Restores the rounding mode.
+size_t firstUnreplayedBound(const double *C, const double *A,
+                            const double *B, const double *Lo,
+                            const double *Hi, size_t N, bool &UpperFailed);
 
 /// Directed enclosure of the dual norm ||V||_q accumulated in ascending
 /// index order (the producer's kernel order). \p Q uses the repo's

@@ -85,6 +85,15 @@ long ArgParse::getInt(const std::string &Name, long Default) const {
                           });
 }
 
+size_t ArgParse::getCount(const std::string &Name, size_t Default) const {
+  long V = getInt(Name, static_cast<long>(Default));
+  if (V < 0)
+    throw Error(ErrorCode::BadArgument, "cli.args",
+                "--" + Name + " expects a non-negative integer, got " +
+                    std::to_string(V));
+  return static_cast<size_t>(V);
+}
+
 double ArgParse::getDouble(const std::string &Name, double Default) const {
   auto It = Values.find(Name);
   if (It == Values.end())

@@ -45,6 +45,10 @@ public:
   long getInt(const std::string &Name, long Default) const;
   double getDouble(const std::string &Name, double Default) const;
 
+  /// getInt() for counts and indices: a negative value throws
+  /// BadArgument naming the flag instead of wrapping to a huge size_t.
+  size_t getCount(const std::string &Name, size_t Default) const;
+
   /// Positional arguments in order.
   const std::vector<std::string> &positional() const { return Positional; }
 

@@ -2,11 +2,14 @@
 
 #include "support/Json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 
 using namespace deept;
 using namespace deept::support;
@@ -21,6 +24,8 @@ const JsonValue *JsonValue::find(std::string_view Key) const {
 }
 
 namespace {
+
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
 
 /// Recursive-descent parser over a string view. Nesting is depth-limited
 /// so adversarial input cannot overflow the stack.
@@ -106,18 +111,18 @@ private:
       skipSpace();
       if (Pos >= Text.size() || Text[Pos] != '"')
         return fail("expected object key");
-      std::string Key;
-      if (!parseString(Key))
+      // Members and items are parsed in place: no per-element temporary
+      // to move into the container and destroy.
+      auto &Member = Out.Members.emplace_back();
+      if (!parseString(Member.first))
         return false;
       skipSpace();
       if (Pos >= Text.size() || Text[Pos] != ':')
         return fail("expected ':' after object key");
       ++Pos;
       skipSpace();
-      JsonValue Member;
-      if (!parseValue(Member, Depth + 1))
+      if (!parseValue(Member.second, Depth + 1))
         return false;
-      Out.Members.emplace_back(std::move(Key), std::move(Member));
       skipSpace();
       if (Pos >= Text.size())
         return fail("unterminated object");
@@ -141,12 +146,20 @@ private:
       ++Pos;
       return true;
     }
+    // Size a flat array up front: its length is one more than the commas
+    // before the first ']'. This is only a capacity hint (it over-counts
+    // when the array nests others), so take it only when the array
+    // starts with a number, the case of the long coefficient arrays.
+    if (Pos < Text.size() && (Text[Pos] == '-' || isDigit(Text[Pos]))) {
+      size_t Close = Text.find(']', Pos);
+      if (Close != std::string_view::npos)
+        Out.Items.reserve(
+            1 + std::count(Text.begin() + Pos, Text.begin() + Close, ','));
+    }
     while (true) {
       skipSpace();
-      JsonValue Item;
-      if (!parseValue(Item, Depth + 1))
+      if (!parseValue(Out.Items.emplace_back(), Depth + 1))
         return false;
-      Out.Items.push_back(std::move(Item));
       skipSpace();
       if (Pos >= Text.size())
         return fail("unterminated array");
@@ -225,43 +238,48 @@ private:
   }
 
   bool parseNumber(JsonValue &Out) {
-    size_t Start = Pos;
-    if (Pos < Text.size() && Text[Pos] == '-')
-      ++Pos;
-    if (Pos >= Text.size() ||
-        !std::isdigit(static_cast<unsigned char>(Text[Pos])))
-      return fail("invalid number");
+    // Scans with local pointers: the long coefficient arrays make this
+    // the parser's hot loop.
+    const char *First = Text.data() + Pos, *End = Text.data() + Text.size();
+    const char *P = First;
+    auto Digits = [&] {
+      const char *D = P;
+      while (P != End && isDigit(*P))
+        ++P;
+      return P != D;
+    };
+    auto Fail = [&](const char *Message) {
+      Pos = static_cast<size_t>(P - Text.data());
+      return fail(Message);
+    };
+    if (P != End && *P == '-')
+      ++P;
+    if (P == End || !isDigit(*P))
+      return Fail("invalid number");
     // Leading zero must not be followed by more digits.
-    if (Text[Pos] == '0' && Pos + 1 < Text.size() &&
-        std::isdigit(static_cast<unsigned char>(Text[Pos + 1])))
-      return fail("leading zero in number");
-    while (Pos < Text.size() &&
-           std::isdigit(static_cast<unsigned char>(Text[Pos])))
-      ++Pos;
-    if (Pos < Text.size() && Text[Pos] == '.') {
-      ++Pos;
-      if (Pos >= Text.size() ||
-          !std::isdigit(static_cast<unsigned char>(Text[Pos])))
-        return fail("digit expected after decimal point");
-      while (Pos < Text.size() &&
-             std::isdigit(static_cast<unsigned char>(Text[Pos])))
-        ++Pos;
+    if (*P == '0' && P + 1 != End && isDigit(P[1]))
+      return Fail("leading zero in number");
+    Digits();
+    if (P != End && *P == '.') {
+      ++P;
+      if (!Digits())
+        return Fail("digit expected after decimal point");
     }
-    if (Pos < Text.size() && (Text[Pos] == 'e' || Text[Pos] == 'E')) {
-      ++Pos;
-      if (Pos < Text.size() && (Text[Pos] == '+' || Text[Pos] == '-'))
-        ++Pos;
-      if (Pos >= Text.size() ||
-          !std::isdigit(static_cast<unsigned char>(Text[Pos])))
-        return fail("digit expected in exponent");
-      while (Pos < Text.size() &&
-             std::isdigit(static_cast<unsigned char>(Text[Pos])))
-        ++Pos;
+    if (P != End && (*P == 'e' || *P == 'E')) {
+      ++P;
+      if (P != End && (*P == '+' || *P == '-'))
+        ++P;
+      if (!Digits())
+        return Fail("digit expected in exponent");
     }
+    Pos = static_cast<size_t>(P - Text.data());
     Out.K = JsonValue::Kind::Number;
-    Out.NumberVal =
-        std::strtod(std::string(Text.substr(Start, Pos - Start)).c_str(),
-                    nullptr);
+    // The grammar is validated above, so from_chars consumes the whole
+    // token (correctly rounded, like strtod). On overflow or underflow it
+    // leaves the value untouched where strtod gives +-inf or 0, so
+    // those rare tokens go through strtod on a NUL-terminated copy.
+    if (std::from_chars(First, P, Out.NumberVal).ec != std::errc())
+      Out.NumberVal = std::strtod(std::string(First, P).c_str(), nullptr);
     return true;
   }
 
@@ -303,14 +321,26 @@ std::string deept::support::jsonEscape(std::string_view S) {
   return Out;
 }
 
-std::string deept::support::jsonNumber(double V) {
-  if (!std::isfinite(V))
-    return "null";
+void deept::support::appendJsonNumber(std::string &Out, double V) {
+  if (!std::isfinite(V)) {
+    Out += "null";
+    return;
+  }
   char Buf[32];
-  // Shortest round-trippable representation; %.17g always round-trips a
-  // double and strtod reads it back exactly.
-  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
-  // JSON requires a leading digit; %g never emits one-less forms like
-  // ".5", so the token is valid as-is.
-  return Buf;
+  // 17 significant digits always round-trip a double. to_chars with
+  // chars_format::general and a precision is specified to print exactly
+  // what printf's "%.17g" prints, without the locale and format-string
+  // work. JSON requires a leading digit; %g never emits digit-less forms
+  // like ".5", so the token is valid as-is.
+  // 32 bytes always fit the longest token, "-2.2250738585072014e-308".
+  char *End =
+      std::to_chars(Buf, Buf + sizeof(Buf), V, std::chars_format::general, 17)
+          .ptr;
+  Out.append(Buf, End);
+}
+
+std::string deept::support::jsonNumber(double V) {
+  std::string Out;
+  appendJsonNumber(Out, V);
+  return Out;
 }

@@ -51,9 +51,13 @@ bool parseJson(std::string_view Text, JsonValue &Out,
 /// Escapes a string for embedding between double quotes in JSON output.
 std::string jsonEscape(std::string_view S);
 
-/// Formats a double as a JSON number token; non-finite values (which JSON
+/// Formats a double as a JSON number token, byte-identical to printf's
+/// "%.17g" (so it reads back exactly); non-finite values (which JSON
 /// cannot represent) become "null".
 std::string jsonNumber(double V);
+
+/// Appends jsonNumber(V) to \p Out without a temporary string.
+void appendJsonNumber(std::string &Out, double V);
 
 } // namespace support
 } // namespace deept

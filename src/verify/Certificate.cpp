@@ -13,6 +13,7 @@
 
 using namespace deept;
 using namespace deept::verify;
+using support::appendJsonNumber;
 using support::jsonEscape;
 using support::jsonNumber;
 using tensor::Matrix;
@@ -20,13 +21,27 @@ using tensor::Matrix;
 namespace {
 
 void appendNumberArray(std::string &Out, const std::vector<double> &V) {
-  Out += "[";
+  Out += '[';
   for (size_t I = 0; I < V.size(); ++I) {
     if (I)
-      Out += ",";
-    Out += jsonNumber(V[I]);
+      Out += ',';
+    appendJsonNumber(Out, V[I]);
   }
-  Out += "]";
+  Out += ']';
+}
+
+/// Capacity for the whole envelope, so the payload is formatted into one
+/// buffer without regrowing: a "%.17g" token plus its comma is at most 25
+/// bytes, and 512 bytes more per checkpoint, and for the envelope, cover
+/// the keys and short fields (an overlong query string only costs a
+/// regrowth).
+size_t envelopeCapacity(const CertificateData &D) {
+  size_t Numbers = D.InputLo.size() + D.InputHi.size() +
+                   D.Margin.Alpha.size() + D.Margin.Beta.size();
+  for (const CertCheckpoint &C : D.Checkpoints)
+    Numbers += C.Center.size() + C.PhiNorm.size() + C.EpsNorm.size() +
+               C.Lo.size() + C.Hi.size();
+  return 25 * Numbers + 512 * (D.Checkpoints.size() + 2) + D.Query.size();
 }
 
 std::vector<double> flatCopy(const Matrix &M) {
@@ -128,15 +143,16 @@ void CertificateBuilder::recordMargin(const zono::Zonotope &Margin,
 }
 
 std::string CertificateData::payloadJson() const {
-  std::string Out = "{\"v\":1,\"query\":\"" + jsonEscape(Query) +
-                    "\",\"kind\":\"" + jsonEscape(Kind) + "\",\"method\":\"" +
-                    jsonEscape(Method) + "\",\"norm\":\"" + jsonEscape(Norm) +
-                    "\",\"precision\":\"" + jsonEscape(Precision) +
-                    "\",\"p\":" + jsonNumber(P) +
-                    ",\"true_class\":" + std::to_string(TrueClass) +
-                    ",\"model\":{\"layers\":" + std::to_string(ModelLayers) +
-                    ",\"embed\":" + std::to_string(ModelEmbed) +
-                    ",\"heads\":" + std::to_string(ModelHeads) + "}";
+  std::string Out;
+  Out.reserve(envelopeCapacity(*this));
+  Out += "{\"v\":1,\"query\":\"" + jsonEscape(Query) + "\",\"kind\":\"" +
+         jsonEscape(Kind) + "\",\"method\":\"" + jsonEscape(Method) +
+         "\",\"norm\":\"" + jsonEscape(Norm) + "\",\"precision\":\"" +
+         jsonEscape(Precision) + "\",\"p\":" + jsonNumber(P) +
+         ",\"true_class\":" + std::to_string(TrueClass) +
+         ",\"model\":{\"layers\":" + std::to_string(ModelLayers) +
+         ",\"embed\":" + std::to_string(ModelEmbed) +
+         ",\"heads\":" + std::to_string(ModelHeads) + "}";
   Out += ",\"input\":{\"rows\":" + std::to_string(InputRows) +
          ",\"cols\":" + std::to_string(InputCols) + ",\"lo\":";
   appendNumberArray(Out, InputLo);
@@ -185,17 +201,19 @@ std::string CertificateData::toJson() const {
   // Payload last, compact, with nothing after it but the closing brace:
   // the checker CRCs the raw byte range starting at the payload's '{',
   // so the envelope prefix must contain no other "payload" key and the
-  // payload must extend to exactly the envelope's final '}'.
-  std::string Payload = payloadJson();
-  uint32_t Crc = support::crc32(Payload.data(), Payload.size());
-  std::string Out = "{\"deept_cert\":1,\"isa\":\"";
-  Out += tensor::isaName(tensor::currentIsa());
-  Out += "\",\"threads\":";
-  Out += std::to_string(support::ThreadPool::global().threadCount());
-  Out += ",\"crc32\":";
-  Out += std::to_string(Crc);
-  Out += ",\"payload\":";
-  Out += Payload;
-  Out += "}";
+  // payload must extend to exactly the envelope's final '}'. The payload
+  // is formatted first so its CRC can be taken in place; the prefix is
+  // then inserted in front within the capacity payloadJson() reserved.
+  std::string Out = payloadJson();
+  uint32_t Crc = support::crc32(Out.data(), Out.size());
+  std::string Prefix = "{\"deept_cert\":1,\"isa\":\"";
+  Prefix += tensor::isaName(tensor::currentIsa());
+  Prefix += "\",\"threads\":";
+  Prefix += std::to_string(support::ThreadPool::global().threadCount());
+  Prefix += ",\"crc32\":";
+  Prefix += std::to_string(Crc);
+  Prefix += ",\"payload\":";
+  Out.insert(0, Prefix);
+  Out += '}';
   return Out;
 }

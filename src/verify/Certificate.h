@@ -110,11 +110,12 @@ struct CertificateData {
   std::vector<CertCheckpoint> Checkpoints;
   CertMargin Margin;
 
-  /// The compact payload object (no whitespace, fixed member order).
+  /// The compact payload object (no whitespace, fixed member order), in
+  /// a buffer with room for the envelope around it.
   std::string payloadJson() const;
 
   /// The full single-line envelope with the payload CRC. No trailing
-  /// newline.
+  /// newline; the capacity leaves room for the caller to append one.
   std::string toJson() const;
 };
 

@@ -537,13 +537,16 @@ void Scheduler::executeOne(const JobSpec &Spec, JobMethod Method,
   // no certificate at all (the caller only writes Valid+Certified
   // snapshots of successful attempts).
   std::optional<CertificateBuilder> CertBuilder;
-  if (Cert && Method != JobMethod::CrownBaF &&
-      Method != JobMethod::CrownBackward) {
-    CertBuilder.emplace();
+  auto StampCaller = [&] {
     CertBuilder->Data.Query = R.Key;
     CertBuilder->Data.Method = jobMethodName(Method);
     CertBuilder->Data.Norm = normToken(Spec.P);
     CertBuilder->Data.P = Spec.P;
+  };
+  if (Cert && Method != JobMethod::CrownBaF &&
+      Method != JobMethod::CrownBackward) {
+    CertBuilder.emplace();
+    StampCaller();
   }
   auto MarginAt = [&](double Radius) -> double {
     D.check(); // per-probe check (covers the CROWN paths too)
@@ -576,8 +579,13 @@ void Scheduler::executeOne(const JobSpec &Spec, JobMethod Method,
     Matrix X = Model.embed(Spec.Tokens);
     Zonotope In = Zonotope::lpBallOnRow(X, Spec.Word, Spec.P, Radius);
     double M = V.certifyMargin(In, Spec.TrueClass);
-    if (CertBuilder && M > 0.0)
-      *Cert = CertBuilder->Data;
+    if (CertBuilder && M > 0.0) {
+      // Move the recording out; the next probe's beginRun re-records
+      // everything but the caller metadata, which is stamped again.
+      *Cert = std::move(CertBuilder->Data);
+      CertBuilder->Data = CertificateData();
+      StampCaller();
+    }
     return M;
   };
 
@@ -829,9 +837,13 @@ std::vector<JobResult> Scheduler::run(const JobQueue &Queue) const {
             M.counter("cert.write_failures");
         std::string Path =
             Opts.CertDir + "/cert-" + fileSafe(R.Key) + ".json";
+        // Emission is its own span: it runs outside JobResult::Seconds, so
+        // the ledger must not lump it into sched.job self time.
+        support::TraceSpan EmitSpan("cert.emit", R.Key);
         try {
           DEEPT_FAULT_POINT("cert.write");
-          std::string Json = Cert->toJson() + "\n";
+          std::string Json = Cert->toJson();
+          Json += '\n';
           support::Error WErr;
           if (!support::atomicWriteFile(Path, Json, &WErr))
             throw WErr;

@@ -99,6 +99,22 @@ TEST(ArgParse, GetIntStrictRejectsMalformedValues) {
   ExpectBadArgument([&] { A.getDouble("eps", 0.0); }, "--eps expects");
 }
 
+TEST(ArgParse, GetCountRejectsNegativeValues) {
+  ArgParse A = parse({"prog", "--word", "-1", "--count", "7", "--n", "0"});
+  EXPECT_EQ(A.getCount("count", 1), 7u);
+  EXPECT_EQ(A.getCount("n", 1), 0u);
+  EXPECT_EQ(A.getCount("absent", 3), 3u);
+  try {
+    A.getCount("word", 0);
+    ADD_FAILURE() << "accepted --word -1";
+  } catch (const Error &E) {
+    EXPECT_EQ(E.code(), ErrorCode::BadArgument);
+    EXPECT_NE(std::string(E.what()).find("--word expects a non-negative"),
+              std::string::npos)
+        << E.what();
+  }
+}
+
 TEST(ThreadCount, ParseAcceptsPositiveIntegers) {
   size_t Out = 0;
   EXPECT_TRUE(deept::support::parseThreadCount("1", Out));

@@ -21,6 +21,7 @@
 #include "support/Metrics.h"
 #include "support/Parallel.h"
 #include "support/Rng.h"
+#include "support/Trace.h"
 #include "verify/Certificate.h"
 #include "verify/DeepT.h"
 #include "verify/FeedForwardVerifier.h"
@@ -29,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -43,6 +45,7 @@ using support::ThreadPool;
 using tensor::Matrix;
 using verify::CertificateBuilder;
 using verify::CertificateData;
+using verify::CertMargin;
 
 namespace {
 
@@ -157,6 +160,63 @@ TEST(CertInterval, DualNormEnclosesKernelTrack) {
   check::Interval Linf = check::dualNormEnclosure(-1.0, V);
   EXPECT_EQ(Linf.Lo, Max);
   EXPECT_EQ(Linf.Hi, Max);
+}
+
+TEST(CertInterval, ArrayPassesMatchTheScalarOpsBitForBit) {
+  // The array passes switch the rounding mode once per pass; their
+  // enclosures must be exactly the scalar ops', not merely sound.
+  support::Rng Rng(11);
+  const size_t N = 4096;
+  std::vector<double> C(N), A(N), B(N), Lo(N), Hi(N);
+  for (size_t V = 0; V < N; ++V) {
+    C[V] = Rng.uniform(-1.0, 1.0) * std::ldexp(1.0, int(V % 40) - 20);
+    A[V] = Rng.uniform() * std::ldexp(1.0, int(V % 23) - 11);
+    B[V] = V % 5 ? Rng.uniform() * 1e-3 : 0.0;
+  }
+  const double Inf = std::numeric_limits<double>::infinity();
+  auto Expect = [&](size_t WantIdx, bool WantUpper, const char *What) {
+    bool Upper = !WantUpper;
+    EXPECT_EQ(check::firstUnreplayedBound(C.data(), A.data(), B.data(),
+                                          Lo.data(), Hi.data(), N, Upper),
+              WantIdx)
+        << What;
+    if (WantIdx != N) {
+      EXPECT_EQ(Upper, WantUpper) << What;
+    }
+  };
+  for (int End = 0; End < 2; ++End) {
+    // Every recorded bound sits on one end of its scalar-op enclosure.
+    for (size_t V = 0; V < N; ++V) {
+      check::Interval L = check::loEnclosure(C[V], A[V], B[V]);
+      check::Interval H = check::hiEnclosure(C[V], A[V], B[V]);
+      Lo[V] = End ? L.Hi : L.Lo;
+      Hi[V] = End ? H.Hi : H.Lo;
+    }
+    Expect(N, false, "bounds on the enclosure ends");
+    const size_t Mid = N / 2 + End;
+    const double SavedLo = Lo[Mid], SavedHi = Hi[Mid];
+    Lo[Mid] = std::nextafter(SavedLo, End ? Inf : -Inf);
+    Expect(Mid, false, "lo one ULP outside");
+    Lo[Mid] = SavedLo;
+    Hi[Mid] = std::nextafter(SavedHi, End ? Inf : -Inf);
+    Expect(Mid, true, "hi one ULP outside");
+    Hi[Mid] = SavedHi;
+  }
+  // Dual norms against the per-operation accumulation.
+  double Lo2 = 0.0, Hi2 = 0.0, Lo1 = 0.0, Hi1 = 0.0;
+  for (double X : C) {
+    Lo2 = check::addDown(Lo2, check::mulDown(X, X));
+    Hi2 = check::addUp(Hi2, check::mulUp(X, X));
+    Lo1 = check::addDown(Lo1, std::fabs(X));
+    Hi1 = check::addUp(Hi1, std::fabs(X));
+  }
+  check::Interval L2 = check::dualNormEnclosure(2.0, C);
+  EXPECT_EQ(L2.Lo, check::sqrtDown(Lo2));
+  EXPECT_EQ(L2.Hi, check::sqrtUp(Hi2));
+  check::Interval L1 = check::dualNormEnclosure(1.0, C);
+  EXPECT_EQ(L1.Lo, Lo1);
+  EXPECT_EQ(L1.Hi, Hi1);
+  EXPECT_LT(L1.Lo, L1.Hi) << "the sweep should include inexact sums";
 }
 
 //===----------------------------------------------------------------------===//
@@ -359,6 +419,67 @@ TEST(CertificateCorpus, OneUlpShrinkBelowEnclosureRejected) {
                "1-ULP below enclosure");
 }
 
+TEST(CertificateCorpus, OneUlpTamperOfLastVarOfLargestCheckpointRejected) {
+  TinySetup S;
+  const CertificateData Good = recordedRun(S);
+  size_t Big = 0;
+  for (size_t I = 1; I < Good.Checkpoints.size(); ++I)
+    if (Good.Checkpoints[I].Lo.size() > Good.Checkpoints[Big].Lo.size())
+      Big = I;
+  const verify::CertCheckpoint &C = Good.Checkpoints[Big];
+  const size_t V = C.Lo.size() - 1;
+  ASSERT_GT(V, 8u) << "want a checkpoint that spans several SIMD widths";
+  // One ULP past the directed replay enclosure of the array's last entry
+  // -- the batched pass must read every variable, up to the end.
+  check::Interval LoEnc = check::loEnclosure(C.Center[V], C.PhiNorm[V],
+                                             C.EpsNorm[V]);
+  check::Interval HiEnc = check::hiEnclosure(C.Center[V], C.PhiNorm[V],
+                                             C.EpsNorm[V]);
+  ASSERT_TRUE(LoEnc.contains(C.Lo[V]));
+  ASSERT_TRUE(HiEnc.contains(C.Hi[V]));
+  const std::string Where = "var " + std::to_string(V);
+  CertificateData Data = Good;
+  Data.Checkpoints[Big].Lo[V] =
+      std::nextafter(LoEnc.Hi, std::numeric_limits<double>::infinity());
+  expectReject(Data.toJson(), ErrorCode::UnsoundAbstraction,
+               "lo 1 ULP above enclosure",
+               ("lower bound does not replay: " + Where).c_str());
+  Data = Good;
+  Data.Checkpoints[Big].Hi[V] =
+      std::nextafter(HiEnc.Lo, -std::numeric_limits<double>::infinity());
+  expectReject(Data.toJson(), ErrorCode::UnsoundAbstraction,
+               "hi 1 ULP below enclosure",
+               ("upper bound does not replay: " + Where).c_str());
+  // The honest certificate still replays after the round trip.
+  EXPECT_NO_THROW(check::checkCertificate(Good.toJson()));
+}
+
+TEST(CertificateCorpus, OneUlpTamperOfMiddleBetaEntryRejected) {
+  TinySetup S;
+  CertificateData Data = recordedRun(S);
+  std::vector<double> &Beta = Data.Margin.Beta;
+  ASSERT_GT(Beta.size(), 2u);
+  // Re-seal the margin around a beta vector whose only non-zero entry is
+  // in the middle, so ||beta||_1 is exact and any change to that entry
+  // moves the replayed norm off the recorded one.
+  const size_t Mid = Beta.size() / 2;
+  const double X = 0.1;
+  std::fill(Beta.begin(), Beta.end(), 0.0);
+  Beta[Mid] = -X;
+  CertMargin &M = Data.Margin;
+  M.BetaNorm = X;
+  M.Lo = M.Center - (M.AlphaNorm + M.BetaNorm);
+  M.Hi = M.Center + (M.AlphaNorm + M.BetaNorm);
+  M.Certified = M.Lo > 0.0;
+  ASSERT_NO_THROW(check::checkCertificate(Data.toJson()));
+  Beta[Mid] = -std::nextafter(X, 1.0);
+  expectReject(Data.toJson(), ErrorCode::UnsoundAbstraction,
+               "beta entry 1 ULP larger", "below the replayed norm");
+  Beta[Mid] = -std::nextafter(X, 0.0);
+  expectReject(Data.toJson(), ErrorCode::UnsoundAbstraction,
+               "beta entry 1 ULP smaller", "above the replayed norm");
+}
+
 //===----------------------------------------------------------------------===//
 // Scheduler integration
 //===----------------------------------------------------------------------===//
@@ -415,6 +536,30 @@ TEST(CertificateScheduler, CertDirHoldsReplayableArtifacts) {
     EXPECT_TRUE(Sum.Certified);
     std::remove(Path.c_str());
   }
+  ::rmdir(Dir.Path.c_str());
+}
+
+TEST(CertificateScheduler, EmissionIsItsOwnTraceSpan) {
+  TinySetup S;
+  TempDir Dir(::testing::TempDir() + "cert_emit_span_dir");
+  verify::SchedulerOptions SO;
+  SO.CertDir = Dir.Path;
+  verify::JobQueue Q;
+  Q.push(tinyJob(S, "span", 1e-3));
+  support::Trace::clear();
+  support::Trace::setEnabled(true);
+  std::vector<verify::JobResult> Results =
+      verify::Scheduler(S.Model, SO).run(Q);
+  support::Trace::setEnabled(false);
+  std::string Trace = support::Trace::toChromeJson();
+  support::Trace::clear();
+  ASSERT_EQ(Results.size(), 1u);
+  ASSERT_TRUE(Results[0].Certified);
+  // Serialization and the atomic write sit under "cert.emit", tagged
+  // with the job key like the enclosing "sched.job" span.
+  const std::string Span = "cert.emit[" + Results[0].Key + "]";
+  EXPECT_NE(Trace.find("\"" + Span + "\""), std::string::npos) << Trace;
+  std::remove((Dir.Path + "/cert-" + Results[0].Key + ".json").c_str());
   ::rmdir(Dir.Path.c_str());
 }
 

@@ -1,5 +1,6 @@
 //===- tests/support_test.cpp ---------------------------------*- C++ -*-===//
 
+#include "support/Crc.h"
 #include "support/Error.h"
 #include "support/Json.h"
 #include "support/Rng.h"
@@ -8,10 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <new>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 using namespace deept::support;
 
@@ -146,6 +153,107 @@ TEST(Json, NumberEmitsNullForNonFinite) {
   EXPECT_TRUE(parseJson("{\"margin\":" + jsonNumber(-Inf) + "}", Doc));
 }
 
+namespace {
+
+/// A random double for the formatting and parsing sweeps: every fourth
+/// draw is a raw bit pattern, and the others force the exponent field to
+/// zero (subnormals and +-0), to its largest finite value, or near the
+/// unit exponent.
+double sweepDouble(Rng &R, int I) {
+  uint64_t Bits = R.next();
+  const uint64_t ExpMask = uint64_t(0x7FF) << 52;
+  switch (I % 4) {
+  case 1:
+    Bits &= ~ExpMask;
+    break;
+  case 2:
+    Bits = (Bits & ~ExpMask) | uint64_t(0x7FE) << 52;
+    break;
+  case 3:
+    Bits = (Bits & ~ExpMask) | (uint64_t(1023 - 40 + R.uniformInt(80)) << 52);
+    break;
+  }
+  double D;
+  std::memcpy(&D, &Bits, sizeof(D));
+  return D;
+}
+
+} // namespace
+
+TEST(Json, NumberIsByteIdenticalToPrintf17g) {
+  // Certificates are compared byte for byte across versions, so the
+  // number formatter must stay exactly printf's "%.17g".
+  std::vector<double> Edge = {0.0,
+                              -0.0,
+                              std::numeric_limits<double>::denorm_min(),
+                              -std::numeric_limits<double>::denorm_min(),
+                              std::numeric_limits<double>::min(),
+                              std::numeric_limits<double>::max(),
+                              -std::numeric_limits<double>::max(),
+                              1e16,
+                              1e17,
+                              0.1,
+                              1.0 / 3.0,
+                              123456789012345678.0};
+  Rng R(20261019);
+  char Buf[40];
+  std::string Out;
+  size_t Checked = 0;
+  for (int I = 0; I < (1 << 20) + static_cast<int>(Edge.size()); ++I) {
+    double D = I < static_cast<int>(Edge.size()) ? Edge[I] : sweepDouble(R, I);
+    if (!std::isfinite(D)) {
+      EXPECT_EQ(jsonNumber(D), "null");
+      continue;
+    }
+    std::snprintf(Buf, sizeof(Buf), "%.17g", D);
+    Out.clear();
+    appendJsonNumber(Out, D);
+    ASSERT_EQ(Out, Buf) << "draw " << I;
+    ++Checked;
+  }
+  EXPECT_GE(Checked, 1000000u);
+}
+
+TEST(Json, ParsedNumbersAreBitIdenticalToStrtod) {
+  auto Bits = [](double D) {
+    uint64_t B;
+    std::memcpy(&B, &D, sizeof(B));
+    return B;
+  };
+  // Tokens the fast path cannot take: overflow and underflow, where
+  // strtod's +-inf / +-0 must win, and the subnormal boundary.
+  std::vector<std::string> Tokens = {"1e400", "-1e400", "1e-400", "-1e-400",
+                                     "4.9406564584124654e-324",
+                                     "2.4703282292062328e-324",
+                                     "2.2250738585072011e-308",
+                                     "1.7976931348623158e308",
+                                     "1.7976931348623159e308", "0", "-0",
+                                     "0.1", "123456789012345678901234567890"};
+  Rng R(7);
+  char Buf[40];
+  for (int I = 0; I < 200000; ++I) {
+    double D = sweepDouble(R, I);
+    if (!std::isfinite(D))
+      continue;
+    // Full round-trip precision and shorter, inexact forms.
+    std::snprintf(Buf, sizeof(Buf), I % 2 ? "%.17g" : "%.6e", D);
+    Tokens.push_back(Buf);
+  }
+  JsonValue Doc;
+  for (const std::string &T : Tokens) {
+    double Want = std::strtod(T.c_str(), nullptr);
+    // Alone (the token ends the text) and inside an array.
+    ASSERT_TRUE(parseJson(T, Doc)) << T;
+    ASSERT_EQ(Bits(Doc.NumberVal), Bits(Want)) << T;
+    ASSERT_TRUE(parseJson("[" + T + "]", Doc)) << T;
+    ASSERT_EQ(Bits(Doc.Items.at(0).NumberVal), Bits(Want)) << T;
+  }
+  ASSERT_TRUE(parseJson("[1e400,-1e400,1e-400]", Doc));
+  EXPECT_EQ(Doc.Items[0].NumberVal, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(Doc.Items[1].NumberVal, -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(Doc.Items[2].NumberVal, 0.0);
+}
+
 TEST(Json, ParserRejectsBareNonFiniteTokens) {
   // JSON has no non-finite literals; a writer that leaked one must be
   // caught by every reader, not silently mis-parsed.
@@ -205,4 +313,64 @@ TEST(Error, CodeOfMapsExceptions) {
             ErrorCode::JobInvalid);
   EXPECT_EQ(codeOf(std::bad_alloc()), ErrorCode::OutOfMemory);
   EXPECT_EQ(codeOf(std::runtime_error("anything")), ErrorCode::Internal);
+}
+
+//===----------------------------------------------------------------------===//
+// CRC-32
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The bytewise reference the slice-by-8 update must reproduce.
+uint32_t referenceCrc32(const unsigned char *P, size_t N) {
+  uint32_t C = 0xFFFFFFFFu;
+  for (size_t I = 0; I < N; ++I) {
+    C ^= P[I];
+    for (int K = 0; K < 8; ++K)
+      C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
+  }
+  return C ^ 0xFFFFFFFFu;
+}
+
+} // namespace
+
+TEST(Crc, CheckValue) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(Crc, EverySplitMatchesOneShot) {
+  Rng R(3);
+  std::vector<unsigned char> Buf(96);
+  for (unsigned char &B : Buf)
+    B = static_cast<unsigned char>(R.next());
+  // Unaligned starts, every total length across several 8-byte strides,
+  // and every two-way split point.
+  for (size_t Start = 0; Start < 8; ++Start) {
+    for (size_t Len = 0; Len + Start <= Buf.size() && Len <= 40; ++Len) {
+      const unsigned char *P = Buf.data() + Start;
+      uint32_t Want = referenceCrc32(P, Len);
+      ASSERT_EQ(crc32(P, Len), Want) << "start " << Start << " len " << Len;
+      for (size_t Cut = 0; Cut <= Len; ++Cut) {
+        Crc32 C;
+        C.update(P, Cut);
+        C.update(P + Cut, Len - Cut);
+        ASSERT_EQ(C.value(), Want)
+            << "start " << Start << " len " << Len << " cut " << Cut;
+      }
+    }
+  }
+  // Many updates with chunk lengths cycling through 0..17.
+  for (size_t Start = 0; Start < 8; ++Start) {
+    Crc32 C;
+    size_t Pos = Start, Chunk = 0;
+    while (Pos < Buf.size()) {
+      size_t N = std::min(Chunk % 18, Buf.size() - Pos);
+      C.update(Buf.data() + Pos, N);
+      Pos += N;
+      ++Chunk;
+    }
+    EXPECT_EQ(C.value(),
+              referenceCrc32(Buf.data() + Start, Buf.size() - Start));
+  }
 }

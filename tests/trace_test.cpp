@@ -297,6 +297,30 @@ TEST(JsonTest, ParsesScalarsArraysObjects) {
   EXPECT_EQ(V.find("missing"), nullptr);
 }
 
+TEST(JsonTest, ArraysKeepEveryItemWhateverTheirShape) {
+  // Arrays that start with a number are sized from a comma count before
+  // their first ']'; nested and mixed arrays must come out intact anyway.
+  JsonValue V;
+  ASSERT_TRUE(parseJson(R"([1, [2, 3], {"a": [4, 5, 6]}, "s", 7 ])", V));
+  ASSERT_EQ(V.Items.size(), 5u);
+  EXPECT_EQ(V.Items[0].NumberVal, 1.0);
+  ASSERT_EQ(V.Items[1].Items.size(), 2u);
+  EXPECT_EQ(V.Items[1].Items[1].NumberVal, 3.0);
+  EXPECT_EQ(V.Items[2].find("a")->Items.size(), 3u);
+  EXPECT_EQ(V.Items[3].StringVal, "s");
+  EXPECT_EQ(V.Items[4].NumberVal, 7.0);
+  std::string Long = "[";
+  for (int I = 0; I < 5000; ++I)
+    Long += (I ? "," : "") + std::to_string(I) + ".5";
+  ASSERT_TRUE(parseJson(Long + "]", V));
+  ASSERT_EQ(V.Items.size(), 5000u);
+  EXPECT_EQ(V.Items[4999].NumberVal, 4999.5);
+  // No closing bracket at all, or a dangling comma, still fails.
+  EXPECT_FALSE(parseJson(Long, V));
+  EXPECT_FALSE(parseJson("[1,2,]", V));
+  EXPECT_FALSE(parseJson("[1 2]", V));
+}
+
 TEST(JsonTest, RejectsMalformedInput) {
   JsonValue V;
   std::string Err;

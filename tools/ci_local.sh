@@ -44,6 +44,8 @@ ROBUSTNESS_FILTER='Fault.*:Serialize.*:Io.*:Error.*:Json.*'
 ROBUSTNESS_FILTER+=':Scheduler.Recover*:Scheduler.Resume*:Scheduler.Fsync*'
 ROBUSTNESS_FILTER+=':Scheduler.Transient*:Scheduler.Retry*:Scheduler.Permanent*'
 ROBUSTNESS_FILTER+=':Scheduler.OutOfMemory*:Scheduler.RecordCrc*'
+# The hand-tuned certificate format, parse and CRC paths.
+ROBUSTNESS_FILTER+=':Certificate*:CertInterval*:Crc*'
 SIMD_FILTER='KernelDispatch.*:KernelEquivalence.*'
 SIMD_FILTER+=':TiledGemm.*:Determinism.*:Refinement.*'
 

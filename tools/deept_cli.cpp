@@ -209,8 +209,8 @@ int cmdCertify(const ArgParse &Args) {
     return Rc;
   // Numeric flags parse (and reject malformed values) before the model
   // loads.
-  size_t Word = Args.getInt("word", 0);
-  size_t Count = Args.getInt("sentences", 3);
+  size_t Word = Args.getCount("word", 0);
+  size_t Count = Args.getCount("sentences", 3);
   double FixedEps = Args.getDouble("eps", 0.0);
   long Seed = Args.getInt("seed", 2);
   std::string Verifier = Args.get("verifier", "fast");
@@ -295,7 +295,8 @@ int cmdCertify(const ArgParse &Args) {
     if (CertFile.isOpen()) {
       Cert.Data.Query = "s" + std::to_string(SentenceIdx) + "-w" +
                         std::to_string(Word);
-      std::string Line = Cert.Data.toJson() + "\n";
+      std::string Line = Cert.Data.toJson();
+      Line += '\n';
       support::Error Err;
       if (!CertFile.append(Line, false, &Err)) {
         std::fprintf(stderr, "error: %s\n", Err.what());
@@ -347,6 +348,7 @@ int cmdCertify(const ArgParse &Args) {
 }
 
 int cmdSynonym(const ArgParse &Args) {
+  size_t Count = Args.getCount("count", 10);
   nn::TransformerModel Model;
   if (int Rc = loadModelOrFail(Args, Model))
     return Rc;
@@ -356,7 +358,6 @@ int cmdSynonym(const ArgParse &Args) {
   Cfg.NoiseReductionBudget = 600;
   verify::DeepTVerifier V(Model, Cfg);
   support::Rng Rng(Args.getInt("seed", 3));
-  size_t Count = Args.getInt("count", 10);
   size_t Certified = 0, Done = 0;
   while (Done < Count) {
     data::Sentence S = Corpus.sampleSentence(Rng);
@@ -382,12 +383,12 @@ int cmdAttack(const ArgParse &Args) {
   double P = 2.0;
   if (int Rc = parseNormOrFail(Args, P))
     return Rc;
+  size_t Word = Args.getCount("word", 0);
   nn::TransformerModel Model;
   if (int Rc = loadModelOrFail(Args, Model))
     return Rc;
   data::SyntheticCorpus Corpus(
       corpusConfig(Args.get("corpus", "sst"), Model.Config.EmbedDim));
-  size_t Word = Args.getInt("word", 0);
   support::Rng Rng(Args.getInt("seed", 4));
   data::Sentence S;
   do {
